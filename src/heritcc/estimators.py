@@ -51,9 +51,12 @@ def _clamp_unit(x: float) -> float:
 
 
 def _pair_sums(w: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    """Ordered off-diagonal sums: product-weighted entries and squared entries."""
+    """Ordered off-diagonal sums: product-weighted entries and squared entries.
+
+    The sums avoid BLAS, whose matrix-vector products can round differently
+    at different thread counts."""
     diag = np.diag(g)
-    num = float(w @ g @ w - (w * w) @ diag)
+    num = float(np.einsum("i,ij,j->", w, g, w) - ((w * w) * diag).sum())
     den = float((g * g).sum() - (diag * diag).sum())
     return num, den
 
@@ -178,8 +181,10 @@ def estimate_second_order(sample: AscertainedSample, g: GrmView,
 
     Starts from the closed-form estimate, iterates on the derivative of the
     quartic objective, and falls back to golden-section search on [0, 1] if
-    the iterates wander outside [-0.5, 1.5]. Never raises on non-convergence:
-    the report carries ``converged=False`` with the best iterate.
+    the iterates wander outside [-0.5, 1.5]; a search that ends within ``tol``
+    of 0 or 1 with the gradient pointing out of [0, 1] has converged to a
+    boundary minimum. Never raises on non-convergence: the report carries
+    ``converged=False`` with the best iterate.
     """
     start = time.perf_counter()
     first = estimate_first_order(sample, g, design)
@@ -201,7 +206,11 @@ def estimate_second_order(sample: AscertainedSample, g: GrmView,
         eta_next = eta - grad / curv
         if not (_NR_SAFE_LOW <= eta_next <= _NR_SAFE_HIGH):
             eta = _golden_section_min(coeffs, 0.0, 1.0)
-            converged = abs(float(d1(eta))) <= max(tol * (1.0 + abs(float(d2(eta)))), 1e-9)
+            grad = float(d1(eta))
+            # a minimum on a boundary of [0, 1] has its gradient pointing out
+            converged = (abs(grad) <= max(tol * (1.0 + abs(float(d2(eta)))), 1e-9)
+                         or (eta <= tol and grad >= 0.0)
+                         or (eta >= 1.0 - tol and grad <= 0.0))
             break
         if abs(eta_next - eta) <= 1e-15:
             eta = eta_next

@@ -3,16 +3,22 @@ consistency trends.
 
 Replications draw from substreams indexed by replication number, so results
 are identical no matter how work is scheduled; records are sorted by index
-before any output is written. CSV outputs carry the full configuration as
-comment lines and round-trip exactly (floats serialized with repr).
+before any output is written. Pool workers are spawned with one BLAS thread
+each, so a pool of one worker per core runs one thread per core. CSV outputs
+carry the full configuration as comment lines and round-trip exactly (floats
+serialized with repr).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import math
+import multiprocessing
+import os
 import statistics
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +55,39 @@ __all__ = [
 
 METHODS = ("first", "second")
 _EN_GAMMA = 0.05
+# Thread-count variables of the BLAS builds numpy links against; read once,
+# when a process loads its BLAS.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Held while a pool has the variables set, so that pools started from two
+# threads cannot restore each other's values.
+_ENVIRON_LOCK = threading.Lock()
+
+
+def _pool_map(fn, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, spread over ``workers`` processes when
+    ``workers > 1``.
+
+    Each worker runs one task at a time, so it gets one BLAS thread: the
+    workers are spawned, load BLAS afresh and take its thread count from the
+    environment they start with. The variables are set only while the pool
+    runs; the caller's environment is restored afterwards. The serial path
+    keeps the caller's BLAS threads.
+    """
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with _ENVIRON_LOCK:
+        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            context = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                return list(pool.map(fn, tasks))
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
 
 
 @dataclass(frozen=True)
@@ -142,7 +181,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
             wall_time=wall,
             en_holds=event_en_check(g, _EN_GAMMA).holds,
         )
-    except ValueError as exc:  # estimator/pipeline failure is recorded, not fatal
+    except Exception as exc:  # any failure is recorded, so the other replications survive
         return ReplicationRecord(
             rep_index=rep_index,
             realized_n=0,
@@ -150,7 +189,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
             eta_hat={},
             wall_time={},
             en_holds=False,
-            error=str(exc),
+            error=f"{type(exc).__name__}: {exc}",
         )
 
 
@@ -200,18 +239,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     ``workers > 1`` fans replications out to a process pool; scheduling never
     changes the records because each replication derives its own stream.
     """
-    indices = range(cfg.replications)
-    if workers > 1 and cfg.replications > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_pool_entry, [(cfg, i) for i in indices]))
-    else:
-        records = [run_replication(cfg, i) for i in indices]
+    records = _pool_map(functools.partial(run_replication, cfg),
+                        list(range(cfg.replications)), workers)
     records.sort(key=lambda r: r.rep_index)
     return ExperimentResult(cfg, records, summarize_records(cfg, records))
-
-
-def _pool_entry(args: tuple[ExperimentConfig, int]) -> ReplicationRecord:
-    return run_replication(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +342,7 @@ def _consistency_replication(args: tuple) -> tuple[float | None, float, float]:
         estimate = estimate_first_order(study.sample, g, study.design).eta_hat
         stat = mean_square_offdiagonal(g)
         return estimate, stat, abs(stat - g.n_individuals / n_loci)
-    except ValueError:
+    except Exception:  # a failed replication is left out of its row, not fatal
         return None, math.nan, math.nan
 
 
@@ -336,11 +367,7 @@ def run_consistency_study(eta_star: float, population_prevalence: float,
              target_cases, seed + n_loci, rep, genotype_kind)
             for rep in range(reps)
         ]
-        if workers > 1 and reps > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_consistency_replication, tasks))
-        else:
-            outcomes = [_consistency_replication(t) for t in tasks]
+        outcomes = _pool_map(_consistency_replication, tasks, workers)
         estimates = np.array([e for e, _, _ in outcomes if e is not None])
         stats = np.array([s for e, s, _ in outcomes if e is not None])
         deviations = np.array([d for e, _, d in outcomes if e is not None])

@@ -48,14 +48,22 @@ def grm_compute(z) -> GrmView:
     """Relationship matrix: cross products of standardized rows over loci.
 
     Cost is one n x n_loci by n_loci x n product (BLAS-blocked); the result is
-    symmetrized exactly.
+    symmetrized exactly. The product runs on the rows padded with zero rows
+    to a multiple of 8: OpenBLAS rounds such a product the same way at 1 to
+    4 threads, and other row counts differently per thread count. So a
+    replication in a one-thread pool worker gives the record it gives in a
+    multi-threaded process.
     """
-    if z.n_individuals < 2 or z.n_loci < 1:
+    n = z.n_individuals
+    if n < 2 or z.n_loci < 1:
         raise ValueError("need at least 2 individuals and 1 locus")
-    g = z.z @ z.z.T
-    g += g.T.copy()
+    padded = z.z
+    if n % 8:
+        padded = np.concatenate([z.z, np.zeros((8 - n % 8, z.n_loci))])
+    full = padded @ padded.T
+    g = full[:n, :n] + full[:n, :n].T
     g *= 0.5 / z.n_loci
-    return GrmView(g=g, n_individuals=z.n_individuals, n_loci=z.n_loci)
+    return GrmView(g=g, n_individuals=n, n_loci=z.n_loci)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,10 @@ _STREAM_SELECTION = 2
 _STREAM_FREQS = 3
 
 _BLOCK_ROWS = 2048
+# Count kinds draw each block of rows into one reused float64 buffer of this
+# size, so the draw adds this much memory to the int8 population matrix
+# whatever the population size.
+_BUFFER_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -252,9 +256,53 @@ def simulate_population(z: StandardizedGenotypes, lp: LiabilityParams,
     return liabilities, y
 
 
+def _draw_count_population(dist: GenotypeDistribution, a: np.ndarray,
+                           gen: np.random.Generator,
+                           block_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fill the int8 matrix ``a`` block by block through two reused buffers.
+
+    Entries match :func:`_sample_rows` exactly: the uniforms come from the
+    same row-major stream and go through the same threshold compares. The
+    column sums and sums of squares come from integer counts of the compare
+    hits, so they are exact.
+    """
+    n_population = a.shape[0]
+    buf = np.empty((block_rows, a.shape[1]))
+    hit = np.empty((block_rows, a.shape[1]), dtype=bool)
+    if dist.kind == "binomial-2-p":
+        p = dist.allele_freqs
+        q0 = (1.0 - p) ** 2             # P(count = 0)
+        q01 = q0 + 2.0 * p * (1.0 - p)  # P(count <= 1)
+    at_least_1 = np.zeros(a.shape[1], dtype=np.int64)  # binomial: count >= 1; rademacher: +1
+    at_least_2 = np.zeros(a.shape[1], dtype=np.int64)
+    for lo in range(0, n_population, block_rows):
+        hi = min(lo + block_rows, n_population)
+        u, h, geno = buf[:hi - lo], hit[:hi - lo], a[lo:hi]
+        gen.random(out=u)
+        if dist.kind == "binomial-2-p":
+            np.greater_equal(u, q0, out=h)
+            geno[...] = h
+            at_least_1 += h.sum(axis=0)
+            np.greater_equal(u, q01, out=h)
+            geno += h.view(np.int8)
+            at_least_2 += h.sum(axis=0)
+        else:
+            np.less(u, 0.5, out=h)
+            np.multiply(h.view(np.int8), 2, out=geno)
+            geno -= 1
+            at_least_1 += h.sum(axis=0)
+    if dist.kind == "binomial-2-p":
+        col_sum = at_least_1 + at_least_2
+        col_sumsq = at_least_1 + 3 * at_least_2
+    else:
+        col_sum = 2 * at_least_1 - n_population
+        col_sumsq = np.full(a.shape[1], n_population)
+    return col_sum.astype(np.float64), col_sumsq.astype(np.float64)
+
+
 def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int,
                       lp: LiabilityParams, design: StudyDesign, rs: RandomSource,
-                      block_rows: int = _BLOCK_ROWS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      block_rows: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blocked equivalent of sampling genotypes, standardizing, and running
     :func:`simulate_population`, without materializing the standardized matrix.
 
@@ -263,19 +311,32 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     rows out of it. Results match the dense route to float rounding because
     the genotype stream is consumed in the same row-major order regardless of
     block size.
+
+    Count kinds run every block through one reused float64 buffer, so peak
+    memory is the int8 matrix plus about ``_BUFFER_BYTES``; by default their
+    block holds as many rows as fit that budget. ``standard-normal`` blocks
+    default to 2048 rows. The liability pass is one einsum over the raw
+    matrix: no float64 copy of it, and no BLAS, whose products round
+    differently at different thread counts.
     """
     gen_geno = rs.spawn(_STREAM_GENOTYPES).generator
-    a = np.empty((n_population, n_loci),
-                 dtype=np.float32 if dist.kind == "standard-normal" else np.int8)
-    col_sum = np.zeros(n_loci)
-    col_sumsq = np.zeros(n_loci)
-    for lo in range(0, n_population, block_rows):
-        hi = min(lo + block_rows, n_population)
-        blk = _sample_rows(dist, hi - lo, n_loci, gen_geno)
-        a[lo:hi] = blk
-        work = blk.astype(np.float64)
-        col_sum += work.sum(axis=0)
-        col_sumsq += np.einsum("ij,ij->j", work, work)
+    if dist.kind == "standard-normal":
+        block_rows = block_rows or _BLOCK_ROWS
+        a = np.empty((n_population, n_loci), dtype=np.float32)
+        col_sum = np.zeros(n_loci)
+        col_sumsq = np.zeros(n_loci)
+        for lo in range(0, n_population, block_rows):
+            hi = min(lo + block_rows, n_population)
+            blk = _sample_rows(dist, hi - lo, n_loci, gen_geno)
+            a[lo:hi] = blk
+            work = blk.astype(np.float64)
+            col_sum += work.sum(axis=0)
+            col_sumsq += np.einsum("ij,ij->j", work, work)
+    else:
+        block_rows = block_rows or max(1, _BUFFER_BYTES // (8 * n_loci))
+        a = np.empty((n_population, n_loci), dtype=np.int8)
+        col_sum, col_sumsq = _draw_count_population(
+            dist, a, gen_geno, min(block_rows, n_population))
     means = col_sum / n_population
     variances = col_sumsq / n_population - means * means
     zero = np.flatnonzero(variances <= 0.0)
@@ -287,11 +348,8 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     u = gen_fx.standard_normal(n_loci) * math.sqrt(lp.heritability / n_loci)
     e = gen_fx.standard_normal(n_population) * math.sqrt(1.0 - lp.heritability)
     v = u / sds
-    offset = float(means @ v)
-    liabilities = np.empty(n_population)
-    for lo in range(0, n_population, block_rows):
-        hi = min(lo + block_rows, n_population)
-        liabilities[lo:hi] = a[lo:hi].astype(np.float64) @ v - offset
+    liabilities = np.einsum("ij,j->i", a, v)
+    liabilities -= np.einsum("j,j->", means, v)
     liabilities += e
     y = liabilities > design.threshold
     return a, liabilities, y
@@ -367,7 +425,7 @@ def simulate_case_control_study(heritability: float, population_prevalence: floa
                                 study_prevalence: float, n_loci: int,
                                 target_cases: int, seed: int,
                                 genotype_kind: str = "binomial-2-p",
-                                block_rows: int = _BLOCK_ROWS) -> StudyData:
+                                block_rows: int | None = None) -> StudyData:
     """Run the full generative protocol for one study.
 
     The population size is ceil(target_cases / population_prevalence) so the

@@ -226,3 +226,23 @@ class TestSecondOrderEstimator:
         sample, g, design = _simulated_inputs(seed=13, n_loci=200, target_cases=10, kind="standard-normal")
         report = estimate_second_order(sample, g, design, g.n_loci)
         assert report.wall_time > 0.0
+
+    @pytest.mark.parametrize("heritability, n_loci, target_cases, seed, boundary", [
+        (0.0, 400, 30, 2, 0.0),
+        (1.0, 200, 60, 1, 1.0),
+    ])
+    def test_boundary_minimum_reports_converged(self, heritability, n_loci,
+                                                target_cases, seed, boundary):
+        # the first Newton step leaves [-0.5, 1.5], golden-section search ends
+        # next to a boundary and the gradient there points out of [0, 1]: the
+        # minimum on [0, 1] is that boundary, which counts as converged
+        study = simulate_case_control_study(heritability, 0.1, 0.5, n_loci,
+                                            target_cases, seed)
+        g = grm_compute(study.sample.z_study)
+        report = estimate_second_order(study.sample, g, study.design, n_loci)
+        coeffs = _objective_coefficients(study.sample, g, study.design, n_loci)
+        grad = float(np.polyder(np.poly1d(coeffs[::-1]))(report.eta_hat))
+        assert report.iterations == 1
+        assert abs(report.eta_hat - boundary) < 1e-10
+        assert grad >= 0.0 if boundary == 0.0 else grad <= 0.0
+        assert report.converged

@@ -1,7 +1,11 @@
 """Tests for the replication harness, timing grid, and consistency study."""
 
+import os
+
+import numpy as np
 import pytest
 
+from heritcc import experiments
 from heritcc.experiments import (
     ExperimentConfig,
     read_records_csv,
@@ -14,6 +18,8 @@ from heritcc.experiments import (
     write_summary_csv,
     write_timing_csv,
 )
+from heritcc.grm import grm_compute
+from heritcc.simulate import StandardizedGenotypes
 
 SMOKE = ExperimentConfig(
     eta_star=0.5,
@@ -81,6 +87,64 @@ class TestRunExperiment:
         )
         result = run_experiment(cfg)
         assert len(result.records) == 3
+
+    def test_any_exception_is_recorded_and_the_rest_survive(self, monkeypatch):
+        failing_seed = experiments._replication_seed_stream(SMOKE.seed, 2)
+        simulate = experiments.simulate_case_control_study
+
+        def flaky(**kwargs):
+            if kwargs["seed"] == failing_seed:
+                raise RuntimeError("stage failed")
+            return simulate(**kwargs)
+
+        monkeypatch.setattr(experiments, "simulate_case_control_study", flaky)
+        result = run_experiment(SMOKE, workers=1)
+        assert [r.error for r in result.records] == [None, None, "RuntimeError: stage failed", None]
+        assert result.summaries["first"].n_ok == SMOKE.replications - 1
+
+
+class TestPool:
+    BLAS_VARS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+
+    def test_workers_get_one_blas_thread_and_environment_is_restored(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        seen = experiments._pool_map(os.getenv, self.BLAS_VARS, workers=2)
+        assert seen == ["1", "1", "1"]
+        assert dict(os.environ) == before
+
+    def test_environment_is_restored_when_a_task_raises(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        before = dict(os.environ)
+        with pytest.raises(ValueError):
+            experiments._pool_map(int, ["1", "x"], workers=2)
+        assert dict(os.environ) == before
+
+    def test_serial_path_keeps_the_callers_blas_threads(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert experiments._pool_map(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2,
+                                     workers=1) == ["2", "2"]
+
+    # Where this process runs a multi-threaded BLAS, the two tests below
+    # compare its results with those of one-thread workers.
+    def test_relationship_matrix_same_bits_in_one_thread_worker(self):
+        rng = np.random.default_rng(0)
+        views = [StandardizedGenotypes(rng.standard_normal((n, 10_000)), None, None)
+                 for n in (205, 217)]
+        pooled = experiments._pool_map(grm_compute, views, workers=2)
+        for view, g in zip(views, pooled):
+            assert np.array_equal(g.g, grm_compute(view).g)
+
+    def test_pooled_records_match_in_process_records(self):
+        cfg = ExperimentConfig(eta_star=0.5, population_prevalence=0.1, n_loci=10_000,
+                               target_cases=100, replications=4, seed=7)
+        fields = ("rep_index", "realized_n", "realized_cases", "eta_hat", "en_holds", "error")
+        pooled = run_experiment(cfg, workers=2).records
+        for record in pooled:
+            local = run_replication(cfg, record.rep_index)
+            assert [getattr(record, f) for f in fields] == [getattr(local, f) for f in fields]
 
 
 class TestRecordsCsv:
@@ -150,3 +214,19 @@ class TestConsistencyStudy:
             assert 0.0 <= row.rmse <= 1.0
         # larger study on the proportional path is less noisy
         assert rows[1].rmse < rows[0].rmse
+
+    def test_failed_replication_is_left_out_of_its_row(self, monkeypatch):
+        failing_seed = experiments._replication_seed_stream(17 + 400, 1)
+        simulate = experiments.simulate_case_control_study
+
+        def flaky(**kwargs):
+            if kwargs["seed"] == failing_seed:
+                raise RuntimeError("stage failed")
+            return simulate(**kwargs)
+
+        monkeypatch.setattr(experiments, "simulate_case_control_study", flaky)
+        rows = run_consistency_study(
+            eta_star=0.5, population_prevalence=0.2, study_prevalence=0.5,
+            ratio_a=0.05, n_loci_values=[400], reps=4, seed=17,
+        )
+        assert rows[0].reps == 3

@@ -1,6 +1,7 @@
 """Tests for population simulation and case-control ascertainment."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,50 @@ class TestSimulatePopulation:
         _, l1, _ = population_sample(dist, 200, 32, lp, design, rs1, block_rows=17)
         _, l2, _ = population_sample(dist, 200, 32, lp, design, rs2, block_rows=200)
         np.testing.assert_allclose(l1, l2, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["binomial-2-p", "rademacher", "standard-normal"])
+    def test_every_kind_exact_across_block_sizes_and_dense_route(self, kind):
+        # genotypes and phenotypes are the same bits whatever the block size
+        # (None is the default) and match the dense route; liabilities are the
+        # same bits too for count kinds, whose column sums are exact counts,
+        # and agree to float rounding otherwise
+        lp = LiabilityParams(0.5)
+        design = design_from_prevalences(0.1, 0.5)
+        dist = make_distribution(kind, 48, RandomSource(31).spawn(3))
+        runs = [population_sample(dist, 301, 48, lp, design, RandomSource(31), block_rows=b)
+                for b in (None, 1, 16, 64, 301, 4096)]
+        raw, liab, y = runs[0]
+        for raw_b, liab_b, y_b in runs[1:]:
+            assert np.array_equal(raw_b, raw)
+            assert np.array_equal(y_b, y)
+            if kind == "standard-normal":
+                np.testing.assert_allclose(liab_b, liab, atol=1e-12)
+            else:
+                assert np.array_equal(liab_b, liab)
+        dense_rs = RandomSource(31)
+        a = sample_genotype_matrix(dist, 301, 48, dense_rs.spawn(0))
+        assert a.values.dtype == raw.dtype
+        assert np.array_equal(a.values, raw)
+        liab_dense, y_dense = simulate_population(standardize(a), lp, design, dense_rs.spawn(1))
+        np.testing.assert_allclose(liab, liab_dense, atol=1e-9)
+        assert np.array_equal(y, y_dense)
+
+    @pytest.mark.parametrize("kind", ["binomial-2-p", "rademacher"])
+    def test_count_kinds_peak_memory_is_the_int8_matrix(self, kind):
+        # blocks go through reused buffers: the peak is the N x M int8 matrix
+        # plus a few MB, not float64 copies of whole blocks on top of it
+        n, m = 20_000, 1_000
+        dist = make_distribution(kind, m, RandomSource(5).spawn(3))
+        lp = LiabilityParams(0.5)
+        design = design_from_prevalences(0.1, 0.5)
+        tracemalloc.start()
+        try:
+            raw, _, _ = population_sample(dist, n, m, lp, design, RandomSource(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert raw.nbytes == n * m
+        assert peak <= n * m + 8e6
 
 
 class TestAscertain:
