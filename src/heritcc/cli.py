@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -59,19 +58,6 @@ def _default_threads() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
 
 
 def _atomic_produce(path: Path, producer) -> None:
@@ -310,7 +296,7 @@ def _cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             repr(a_i), repr(a_j), repr(b_ij), repr(eta), repr(k), repr(p),
             str(n_loci), repr(exact), repr(first), repr(second),
         ]))
-    _atomic_write_text(Path(args.out), "\n".join(lines) + "\n")
+    _atomic_produce(Path(args.out), lambda tmp: tmp.write_text("\n".join(lines) + "\n"))
     print(f"wrote {args.out}: {len(lines) - 1} grid points")
     return 0
 
@@ -334,7 +320,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                 "method": r.method,
                 "eta_hat": r.eta_hat,
                 "raw_ratio": r.raw_ratio,
-                "iterations": r.iterations,
                 "converged": r.converged,
                 "objective_value": r.objective_value,
                 "wall_time": r.wall_time,
@@ -344,7 +329,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        _atomic_write_text(Path(args.out), text + "\n")
+        _atomic_produce(Path(args.out), lambda tmp: tmp.write_text(text + "\n"))
         print(f"wrote {args.out}")
     else:
         print(text)

@@ -4,7 +4,8 @@ The closed-form estimator regresses pair products on relatedness with a known
 slope constant and clamps to [0, 1]. The refined estimator minimizes the
 least-squares gap to the quadratic pair-moment approximation; that objective
 is a quartic polynomial in heritability, so one sweep over pairs yields five
-coefficients and each Newton iteration afterwards is O(1).
+coefficients, and its minimum on [0, 1] lies at an endpoint or at a real root
+of the cubic derivative.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ __all__ = [
     "estimate_second_order",
 ]
 
-_NR_TOL = 1e-10
-_NR_MAX_ITERS = 100
-_NR_SAFE_LOW = -0.5
-_NR_SAFE_HIGH = 1.5
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     """Outcome of one estimation run."""
@@ -40,7 +35,6 @@ class EstimateReport:
     method: str
     eta_hat: float
     raw_ratio: float | None
-    iterations: int
     converged: bool
     objective_value: float | None
     wall_time: float
@@ -86,7 +80,6 @@ def estimate_first_order(sample: AscertainedSample, g: GrmView,
         method="first-order",
         eta_hat=_clamp_unit(raw),
         raw_ratio=raw,
-        iterations=0,
         converged=True,
         objective_value=None,
         wall_time=time.perf_counter() - start,
@@ -153,77 +146,31 @@ def _objective_coefficients(sample: AscertainedSample, g: GrmView,
     ])
 
 
-def _golden_section_min(poly: np.ndarray, lo: float, hi: float,
-                        tol: float = 1e-12) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = float(np.polyval(poly[::-1], c))
-    fd = float(np.polyval(poly[::-1], d))
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = float(np.polyval(poly[::-1], c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = float(np.polyval(poly[::-1], d))
-    return 0.5 * (a + b)
-
-
 def estimate_second_order(sample: AscertainedSample, g: GrmView,
-                          design: StudyDesign, n_loci: int,
-                          tol: float = _NR_TOL,
-                          max_iters: int = _NR_MAX_ITERS) -> EstimateReport:
-    """Minimize the quadratic-model objective by Newton iteration.
+                          design: StudyDesign, n_loci: int) -> EstimateReport:
+    """Minimize the quadratic-model objective exactly on [0, 1].
 
-    Starts from the closed-form estimate, iterates on the derivative of the
-    quartic objective, and falls back to golden-section search on [0, 1] if
-    the iterates wander outside [-0.5, 1.5]; a search that ends within ``tol``
-    of 0 or 1 with the gradient pointing out of [0, 1] has converged to a
-    boundary minimum. Never raises on non-convergence: the report carries
-    ``converged=False`` with the best iterate.
+    The objective is a quartic, so its minimum on [0, 1] is at 0, at 1 or at
+    a real root of the cubic derivative. Complex roots contribute their real
+    parts and every root is clipped to [0, 1]: extra points inside the
+    interval cannot move the minimum. ``converged`` is False, and nothing is
+    raised, when a coefficient is not finite.
     """
     start = time.perf_counter()
-    first = estimate_first_order(sample, g, design)
-    coeffs = _objective_coefficients(sample, g, design, n_loci)
-    d1 = np.polyder(np.poly1d(coeffs[::-1]))
-    d2 = np.polyder(d1)
-
-    eta = first.eta_hat
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        grad = float(d1(eta))
-        curv = float(d2(eta))
-        if abs(grad) <= tol * (1.0 + abs(curv)):
-            converged = True
-            break
-        if curv == 0.0:
-            break
-        eta_next = eta - grad / curv
-        if not (_NR_SAFE_LOW <= eta_next <= _NR_SAFE_HIGH):
-            eta = _golden_section_min(coeffs, 0.0, 1.0)
-            grad = float(d1(eta))
-            # a minimum on a boundary of [0, 1] has its gradient pointing out
-            converged = (abs(grad) <= max(tol * (1.0 + abs(float(d2(eta)))), 1e-9)
-                         or (eta <= tol and grad >= 0.0)
-                         or (eta >= 1.0 - tol and grad <= 0.0))
-            break
-        if abs(eta_next - eta) <= 1e-15:
-            eta = eta_next
-            converged = True
-            break
-        eta = eta_next
-    eta_hat = _clamp_unit(eta)
+    estimate_first_order(sample, g, design)  # the input checks
+    poly = _objective_coefficients(sample, g, design, n_loci)[::-1]
+    converged = bool(np.isfinite(poly).all())
+    candidates = np.array([0.0, 1.0])
+    if converged:
+        roots = np.roots(np.polyder(poly)).real
+        candidates = np.concatenate([candidates, np.clip(roots, 0.0, 1.0)])
+    values = np.polyval(poly, candidates)
+    best = int(np.argmin(values))
     return EstimateReport(
         method="second-order",
-        eta_hat=eta_hat,
+        eta_hat=float(candidates[best]),
         raw_ratio=None,
-        iterations=iterations,
         converged=converged,
-        objective_value=float(np.polyval(coeffs[::-1], eta_hat)),
+        objective_value=float(values[best]),
         wall_time=time.perf_counter() - start,
     )

@@ -138,6 +138,9 @@ class ReplicationRecord:
     wall_time: dict[str, float]
     en_holds: bool
     error: str | None = None
+    # off-diagonal mean square of the relationship matrix; not written to
+    # records.csv
+    mean_sq_offdiag: float = math.nan
 
 
 def _replication_seed_stream(seed: int, rep_index: int) -> int:
@@ -180,6 +183,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
             eta_hat=eta_hat,
             wall_time=wall,
             en_holds=event_en_check(g, _EN_GAMMA).holds,
+            mean_sq_offdiag=mean_square_offdiagonal(g),
         )
     except Exception as exc:  # any failure is recorded, so the other replications survive
         return ReplicationRecord(
@@ -328,24 +332,6 @@ class ConsistencyRow:
     ratio_deviation: float
 
 
-def _consistency_replication(args: tuple) -> tuple[float | None, float, float]:
-    (eta_star, population_prevalence, study_prevalence, n_loci, target_cases,
-     seed, rep_index, genotype_kind) = args
-    rep_seed = _replication_seed_stream(seed, rep_index)
-    try:
-        study = simulate_case_control_study(
-            heritability=eta_star, population_prevalence=population_prevalence,
-            study_prevalence=study_prevalence, n_loci=n_loci,
-            target_cases=target_cases, seed=rep_seed, genotype_kind=genotype_kind,
-        )
-        g = grm_compute(study.sample.z_study)
-        estimate = estimate_first_order(study.sample, g, study.design).eta_hat
-        stat = mean_square_offdiagonal(g)
-        return estimate, stat, abs(stat - g.n_individuals / n_loci)
-    except Exception:  # a failed replication is left out of its row, not fatal
-        return None, math.nan, math.nan
-
-
 def run_consistency_study(eta_star: float, population_prevalence: float,
                           study_prevalence: float, ratio_a: float,
                           n_loci_values: list[int], reps: int, seed: int,
@@ -361,16 +347,18 @@ def run_consistency_study(eta_star: float, population_prevalence: float,
     rows = []
     for n_loci in n_loci_values:
         target_n = round(ratio_a * n_loci)
-        target_cases = max(2, round(target_n * study_prevalence))
-        tasks = [
-            (eta_star, population_prevalence, study_prevalence, n_loci,
-             target_cases, seed + n_loci, rep, genotype_kind)
-            for rep in range(reps)
-        ]
-        outcomes = _pool_map(_consistency_replication, tasks, workers)
-        estimates = np.array([e for e, _, _ in outcomes if e is not None])
-        stats = np.array([s for e, s, _ in outcomes if e is not None])
-        deviations = np.array([d for e, _, d in outcomes if e is not None])
+        cfg = ExperimentConfig(
+            eta_star=eta_star, population_prevalence=population_prevalence,
+            study_prevalence=study_prevalence, n_loci=n_loci,
+            target_cases=max(2, round(target_n * study_prevalence)),
+            replications=reps, seed=seed + n_loci, methods=("first",),
+            genotype_kind=genotype_kind,
+        )
+        # a failed replication is left out of its row, not fatal
+        ok = [r for r in run_experiment(cfg, workers).records if r.error is None]
+        estimates = np.array([r.eta_hat["first"] for r in ok])
+        stats = np.array([r.mean_sq_offdiag for r in ok])
+        deviations = np.array([abs(r.mean_sq_offdiag - r.realized_n / n_loci) for r in ok])
         errors = estimates - eta_star
         rows.append(ConsistencyRow(
             n_loci=n_loci,

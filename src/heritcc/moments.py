@@ -20,21 +20,18 @@ variant selected by those order checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .grm import SigmaPair
 from .numerics import BivariateCovariance, bvn_rect, std_normal_pdf
 from .simulate import StudyDesign
 
 __all__ = [
-    "PairMoment",
     "pair_probabilities",
     "ascertained_pair_ratio",
     "exact_pair_expectation",
     "pair_moment_slope",
     "first_order_pair_expectation",
     "second_order_pair_expectation",
-    "evaluate_pair_moment",
 ]
 
 _INF = math.inf
@@ -145,27 +142,3 @@ def second_order_pair_expectation(sp: SigmaPair, design: StudyDesign, eta: float
     )
     return linear + diag_product + squared_relatedness + cross
 
-
-@dataclass(frozen=True)
-class PairMoment:
-    """All three evaluations of the pair moment for one input."""
-
-    exact: float
-    first_order: float
-    second_order: float
-    sp: SigmaPair
-    eta: float
-    n_loci: int
-
-
-def evaluate_pair_moment(sp: SigmaPair, design: StudyDesign, eta: float,
-                         n_loci: int) -> PairMoment:
-    g_ij = sp.b_ij / math.sqrt(n_loci)
-    return PairMoment(
-        exact=exact_pair_expectation(sp, design, eta, n_loci),
-        first_order=first_order_pair_expectation(g_ij, design, eta),
-        second_order=second_order_pair_expectation(sp, design, eta, n_loci),
-        sp=sp,
-        eta=eta,
-        n_loci=n_loci,
-    )

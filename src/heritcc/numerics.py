@@ -22,8 +22,6 @@ __all__ = [
     "std_normal_quantile",
     "bvn_rect",
     "rng_create",
-    "rng_normal",
-    "rng_uniform",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -271,12 +269,3 @@ def rng_create(seed: int, *path: int) -> RandomSource:
     """Create a random source for ``seed``, optionally at a substream path."""
     return RandomSource(seed, tuple(path))
 
-
-def rng_normal(rs: RandomSource) -> float:
-    """One standard normal draw."""
-    return float(rs.generator.standard_normal())
-
-
-def rng_uniform(rs: RandomSource) -> float:
-    """One uniform draw on [0, 1)."""
-    return float(rs.generator.random())

@@ -39,7 +39,6 @@ __all__ = [
     "simulate_case_control_study",
     "save_dataset",
     "load_dataset",
-    "export_matrix_csv",
 ]
 
 GENOTYPE_KINDS = ("binomial-2-p", "standard-normal", "rademacher")
@@ -540,11 +539,3 @@ def load_dataset(path: str | Path) -> StudyData:
         genotype_kind=header["genotype_kind"],
     )
 
-
-def export_matrix_csv(path: str | Path, matrix: np.ndarray, max_rows: int = 1000) -> None:
-    """Write a small matrix as CSV; refuses silly sizes."""
-    matrix = np.atleast_2d(matrix)
-    if matrix.shape[0] > max_rows:
-        raise ValueError(f"matrix has {matrix.shape[0]} rows, CSV export capped at {max_rows}")
-    lines = [",".join(repr(float(v)) for v in row) for row in matrix]
-    Path(path).write_text("\n".join(lines) + "\n")

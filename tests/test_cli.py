@@ -1,6 +1,8 @@
 """Tests for the command-line interface: exit codes, outputs, determinism."""
 
 import json
+import os
+import stat
 import sys
 
 import pytest
@@ -195,3 +197,15 @@ class TestConsistencyCommand:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0].startswith("n_loci,")
         assert len(data) == 3
+
+
+class TestOutputFiles:
+    def test_outputs_get_the_umask_mode(self, capsys, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        moments_out, bench_out = tmp_path / "grid.csv", tmp_path / "timing.csv"
+        assert _run(capsys, "moments", "--out", str(moments_out))[0] == 0
+        assert _run(capsys, "bench", "--n-values", "20", "--N-values", "40",
+                    "--methods", "first", "--out", str(bench_out))[0] == 0
+        for path in (moments_out, bench_out):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask

@@ -1,4 +1,5 @@
-"""Tests for the closed-form and Newton-refined heritability estimators."""
+"""Tests for the closed-form and the exactly minimized second-order
+heritability estimators."""
 
 
 import numpy as np
@@ -17,6 +18,7 @@ from heritcc.simulate import (
     AscertainedSample,
     design_from_prevalences,
     simulate_case_control_study,
+    standardize,
 )
 
 BALANCED = design_from_prevalences(0.5, 0.5)  # slope constant 2/pi
@@ -174,7 +176,7 @@ class TestSecondOrderEstimator:
         a = estimate_second_order(sample, g, design, g.n_loci)
         b = estimate_second_order(sample, g, design, g.n_loci)
         assert a.eta_hat == b.eta_hat
-        assert a.iterations == b.iterations
+        assert a.objective_value == b.objective_value
 
     def test_converges_on_simulated_data(self):
         sample, g, design = _simulated_inputs(seed=11)
@@ -233,16 +235,51 @@ class TestSecondOrderEstimator:
     ])
     def test_boundary_minimum_reports_converged(self, heritability, n_loci,
                                                 target_cases, seed, boundary):
-        # the first Newton step leaves [-0.5, 1.5], golden-section search ends
-        # next to a boundary and the gradient there points out of [0, 1]: the
-        # minimum on [0, 1] is that boundary, which counts as converged
+        # the gradient at the boundary points out of [0, 1]: the minimum on
+        # [0, 1] is that boundary, which counts as converged
         study = simulate_case_control_study(heritability, 0.1, 0.5, n_loci,
                                             target_cases, seed)
         g = grm_compute(study.sample.z_study)
         report = estimate_second_order(study.sample, g, study.design, n_loci)
         coeffs = _objective_coefficients(study.sample, g, study.design, n_loci)
         grad = float(np.polyder(np.poly1d(coeffs[::-1]))(report.eta_hat))
-        assert report.iterations == 1
         assert abs(report.eta_hat - boundary) < 1e-10
         assert grad >= 0.0 if boundary == 0.0 else grad <= 0.0
         assert report.converged
+
+    def test_global_minimum_on_tiny_standardized_studies(self):
+        # tiny studies give quartics whose minimum on [0, 1] is hard to reach
+        # by local iteration; the estimate must not exceed a fine grid's
+        # minimum
+        checked = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 9))
+            n_loci = int(rng.integers(2, 12))
+            k = float(rng.choice([0.01, 0.1, 0.3]))
+            x = rng.normal(size=(n, n_loci))
+            y = rng.random(n) < 0.5
+            if y.all() or not y.any():
+                continue
+            design = design_from_prevalences(k, 0.5)
+            sample = AscertainedSample(
+                indices=np.arange(n), y=y, w=(y - 0.5) / 0.5,
+                n_cases=int(y.sum()), n_controls=int((~y).sum()),
+            )
+            g = grm_compute(standardize(x))
+            report = estimate_second_order(sample, g, design, n_loci)
+            coeffs = _objective_coefficients(sample, g, design, n_loci)
+            grid_min = float(np.polyval(coeffs[::-1], np.linspace(0.0, 1.0, 2001)).min())
+            assert report.converged, seed
+            assert report.objective_value <= grid_min + 1e-9 * abs(grid_min), seed
+            checked += 1
+        assert checked >= 250
+
+    def test_non_finite_input_reports_unconverged(self):
+        sample, g, design = _simulated_inputs(seed=14, n_loci=200, target_cases=10,
+                                              kind="standard-normal")
+        w = sample.w.copy()
+        w[0] = np.nan
+        report = estimate_second_order(_sample_from_w(w), g, design, g.n_loci)
+        assert not report.converged
+        assert 0.0 <= report.eta_hat <= 1.0

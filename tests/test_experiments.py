@@ -18,8 +18,8 @@ from heritcc.experiments import (
     write_summary_csv,
     write_timing_csv,
 )
-from heritcc.grm import grm_compute
-from heritcc.simulate import StandardizedGenotypes
+from heritcc.grm import grm_compute, mean_square_offdiagonal
+from heritcc.simulate import StandardizedGenotypes, simulate_case_control_study
 
 SMOKE = ExperimentConfig(
     eta_star=0.5,
@@ -101,6 +101,20 @@ class TestRunExperiment:
         result = run_experiment(SMOKE, workers=1)
         assert [r.error for r in result.records] == [None, None, "RuntimeError: stage failed", None]
         assert result.summaries["first"].n_ok == SMOKE.replications - 1
+        assert np.isnan(result.records[2].mean_sq_offdiag)
+
+    def test_record_carries_the_off_diagonal_mean_square(self):
+        record = run_replication(SMOKE, 1)
+        study = simulate_case_control_study(
+            heritability=SMOKE.eta_star,
+            population_prevalence=SMOKE.population_prevalence,
+            study_prevalence=SMOKE.study_prevalence, n_loci=SMOKE.n_loci,
+            target_cases=SMOKE.target_cases,
+            seed=experiments._replication_seed_stream(SMOKE.seed, 1),
+            genotype_kind=SMOKE.genotype_kind,
+        )
+        expected = mean_square_offdiagonal(grm_compute(study.sample.z_study))
+        assert record.mean_sq_offdiag == expected
 
 
 class TestPool:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from heritcc.grm import SigmaPair
 from heritcc.moments import (
     ascertained_pair_ratio,
-    evaluate_pair_moment,
     exact_pair_expectation,
     first_order_pair_expectation,
     pair_moment_slope,
@@ -223,6 +222,9 @@ class TestTaylorOrders:
 
 class TestEvaluatePairMoment:
     def test_bundles_all_three(self):
-        pm = evaluate_pair_moment(_sp(0.5, 0.5, 1.0), DESIGN, 0.5, 10_000)
-        assert pm.exact == pytest.approx(pm.first_order, abs=5e-4)
-        assert abs(pm.second_order - pm.exact) <= abs(pm.first_order - pm.exact) + 1e-12
+        sp, n_loci = _sp(0.5, 0.5, 1.0), 10_000
+        exact = exact_pair_expectation(sp, DESIGN, 0.5, n_loci)
+        first = first_order_pair_expectation(sp.b_ij / math.sqrt(n_loci), DESIGN, 0.5)
+        second = second_order_pair_expectation(sp, DESIGN, 0.5, n_loci)
+        assert exact == pytest.approx(first, abs=5e-4)
+        assert abs(second - exact) <= abs(first - exact) + 1e-12

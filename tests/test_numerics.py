@@ -17,8 +17,6 @@ from heritcc.numerics import (
     BivariateCovariance,
     bvn_rect,
     rng_create,
-    rng_normal,
-    rng_uniform,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -204,27 +202,19 @@ class TestBvnRect:
 
 class TestRandomSource:
     def test_same_seed_same_stream(self):
-        a = rng_create(987654321)
-        b = rng_create(987654321)
-        draws_a = [rng_normal(a) for _ in range(1000)]
-        draws_b = [rng_normal(b) for _ in range(1000)]
-        assert draws_a == draws_b
-
-    def test_scalar_matches_vector_stream(self):
-        a = rng_create(7, 3)
-        b = rng_create(7, 3)
-        scalars = np.array([rng_normal(a) for _ in range(200)])
-        vector = b.generator.standard_normal(200)
-        assert np.array_equal(scalars, vector)
+        draws_a = rng_create(987654321).generator.standard_normal(1000)
+        draws_b = rng_create(987654321).generator.standard_normal(1000)
+        assert np.array_equal(draws_a, draws_b)
 
     def test_substreams_differ(self):
         base = rng_create(11)
         child0 = base.spawn(0)
         child1 = base.spawn(1)
-        assert rng_uniform(child0) != rng_uniform(child1)
+        assert child0.generator.random() != child1.generator.random()
 
     def test_spawn_equals_path_construction(self):
-        assert rng_uniform(rng_create(5).spawn(2, 4)) == rng_uniform(rng_create(5, 2, 4))
+        assert (rng_create(5).spawn(2, 4).generator.random()
+                == rng_create(5, 2, 4).generator.random())
 
     def test_normal_moments(self):
         rs = rng_create(20260808)

@@ -332,22 +332,3 @@ class TestDatasetContainer:
         with pytest.raises(ValueError, match="magic"):
             load_dataset(path)
 
-
-class TestMatrixCsvExport:
-    def test_roundtrip_small_matrix(self, tmp_path):
-        from heritcc.simulate import export_matrix_csv
-
-        mat = np.array([[1.5, -0.25], [0.125, 3.0]])
-        path = tmp_path / "m.csv"
-        export_matrix_csv(path, mat)
-        back = np.array([
-            [float(tok) for tok in line.split(",")]
-            for line in path.read_text().strip().splitlines()
-        ])
-        np.testing.assert_array_equal(back, mat)
-
-    def test_row_cap(self, tmp_path):
-        from heritcc.simulate import export_matrix_csv
-
-        with pytest.raises(ValueError, match="capped"):
-            export_matrix_csv(tmp_path / "m.csv", np.zeros((5, 2)), max_rows=4)
