@@ -6,6 +6,14 @@ least-squares gap to the quadratic pair-moment approximation; that objective
 is a quartic polynomial in heritability, so one sweep over pairs yields five
 coefficients, and its minimum on [0, 1] lies at an endpoint or at a real root
 of the cubic derivative.
+
+The sweep reads the relationship matrix in row panels, with the diagonal set
+to 0. From each panel it keeps only per-row sums of the first four
+elementwise powers of the scaled off-diagonal entries, weighted by the
+phenotype vector, by the scaled diagonal excess or by one. The five
+coefficients are dot products of those row sums, so memory is O(n * panel)
+and no n x n array is formed. The dense per-pair pieces remain as the
+definition that ``second_order_objective`` evaluates directly.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grm import GrmView, scaled_deviations
+from .grm import GrmView, _offdiagonal_panels, scaled_deviations
 from .moments import pair_moment_slope
 from .numerics import std_normal_pdf
 from .simulate import AscertainedSample, StudyDesign
@@ -86,27 +94,34 @@ def estimate_first_order(sample: AscertainedSample, g: GrmView,
     )
 
 
-def _pair_moment_pieces(g: GrmView, design: StudyDesign,
-                        n_loci: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair coefficients (c1, c2) of the quadratic moment approximation,
-    so the modeled pair moment is eta*c1 + eta^2*c2. Diagonals zeroed."""
+def _moment_weights(design: StudyDesign, n_loci: int) -> tuple[float, float, float, float]:
+    """Weights (alpha, beta, gamma, delta) of the quadratic moment model: per
+    pair c1 = alpha b_ij and c2 = beta a_i a_j + gamma b_ij^2
+    + delta b_ij (a_i + a_j), in the scaled deviations a and b."""
     k, p = design.population_prevalence, design.study_prevalence
     t = design.threshold
     density = std_normal_pdf(t)
     dsq = density * density
     scale = p * (1.0 - p) / (k * k * (1.0 - k) ** 2)
     mismatch = (p - k) / (k * (1.0 - k))
-    root = math.sqrt(n_loci)
+    return (
+        scale * dsq / math.sqrt(n_loci),
+        (scale / n_loci) * (t * t / 4.0) * dsq,
+        (scale / n_loci) * dsq * (t * t / 2.0 - mismatch * mismatch * dsq),
+        (scale / n_loci) * 0.5 * dsq * (t * t - 1.0 - mismatch * t * density),
+    )
 
+
+def _pair_moment_pieces(g: GrmView, design: StudyDesign,
+                        n_loci: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair coefficients (c1, c2) of the quadratic moment approximation,
+    so the modeled pair moment is eta*c1 + eta^2*c2. Diagonals zeroed."""
+    alpha, beta, gamma, delta = _moment_weights(design, n_loci)
     a, b = scaled_deviations(g)
-    c1 = (scale * dsq / root) * b
     a_col = a[:, None]
     a_row = a[None, :]
-    c2 = (scale / n_loci) * (
-        (t * t / 4.0) * dsq * (a_col * a_row)
-        + dsq * b * b * (t * t / 2.0 - mismatch * mismatch * dsq)
-        + 0.5 * dsq * b * (a_col + a_row) * (t * t - 1.0 - mismatch * t * density)
-    )
+    c1 = alpha * b
+    c2 = beta * (a_col * a_row) + gamma * b * b + delta * b * (a_col + a_row)
     np.fill_diagonal(c2, 0.0)
     return c1, c2
 
@@ -126,17 +141,54 @@ def second_order_objective(eta: float, sample: AscertainedSample, g: GrmView,
 
 def _objective_coefficients(sample: AscertainedSample, g: GrmView,
                             design: StudyDesign, n_loci: int) -> np.ndarray:
-    """Quartic coefficients (ascending powers) of the objective in one sweep."""
+    """Quartic coefficients (ascending powers) of the objective in one sweep.
+
+    With B = sqrt(M) G off the diagonal (B_k its elementwise k-th power) and
+    a the scaled diagonal excess, the pieces are c1 = alpha B and
+    c2 = beta a_i a_j + gamma B_2 + delta B (a_i + a_j). Every sum over pairs
+    of products of w_i w_j, c1 and c2 is then a dot product of w, a or 1
+    with a row sum of B_k against w, a or 1. One pass over row panels of G
+    collects those row sums: O(n * panel) memory, no n x n temporary. The
+    sums use einsum and elementwise reductions, never BLAS, whose rounding
+    depends on the thread count; each row sum sees one whole row, so the
+    result does not depend on the panel height either.
+    """
     w = np.asarray(sample.w, dtype=np.float64)
-    c1, c2 = _pair_moment_pieces(g, design, n_loci)
-    products = np.outer(w, w)
-    np.fill_diagonal(products, 0.0)
-    p_sq = float((products * products).sum())
-    p_c1 = float((products * c1).sum())
-    p_c2 = float((products * c2).sum())
-    c1_sq = float((c1 * c1).sum())
-    c1_c2 = float((c1 * c2).sum())
-    c2_sq = float((c2 * c2).sum())
+    alpha, beta, gamma, delta = _moment_weights(design, n_loci)
+    root = math.sqrt(g.n_loci)
+    a = root * (np.diag(g.g) - 1.0)
+    n = w.shape[0]
+    bw, ba, b2w, b2a, b2, b3, b4 = np.empty((7, n))
+    for lo, b in _offdiagonal_panels(g):
+        rows = slice(lo, lo + b.shape[0])
+        b *= root
+        np.einsum("ij,j->i", b, w, out=bw[rows])
+        np.einsum("ij,j->i", b, a, out=ba[rows])
+        power = b * b
+        np.einsum("ij,j->i", power, w, out=b2w[rows])
+        np.einsum("ij,j->i", power, a, out=b2a[rows])
+        power.sum(axis=1, out=b2[rows])
+        np.einsum("ij,ij->i", power, power, out=b4[rows])
+        power *= b
+        power.sum(axis=1, out=b3[rows])
+
+    def dot(x, y):
+        return float(np.einsum("i,i->", x, y))
+
+    wsq, asq = w * w, a * a
+    p_sq = float(wsq.sum()) ** 2 - dot(wsq, wsq)
+    p_c1 = alpha * dot(w, bw)
+    p_c2 = (beta * (dot(w, a) ** 2 - dot(wsq, asq)) + gamma * dot(w, b2w)
+            + 2.0 * delta * dot(w * a, bw))
+    c1_sq = alpha * alpha * float(b2.sum())
+    c1_c2 = alpha * (beta * dot(a, ba) + gamma * float(b3.sum()) + 2.0 * delta * dot(a, b2))
+    a_b2_a = dot(a, b2a)
+    c2_sq = (beta * beta * (float(asq.sum()) ** 2 - dot(asq, asq))
+             + gamma * gamma * float(b4.sum())
+             + 2.0 * delta * delta * (dot(asq, b2) + a_b2_a)
+             + 2.0 * beta * gamma * a_b2_a
+             + 4.0 * beta * delta * dot(asq, ba)
+             + 4.0 * gamma * delta * dot(a, b3))
     return np.array([
         p_sq,
         -2.0 * p_c1,

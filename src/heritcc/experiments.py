@@ -365,7 +365,7 @@ def run_consistency_study(eta_star: float, population_prevalence: float,
             target_n=target_n,
             reps=int(estimates.shape[0]),
             mean=float(estimates.mean()),
-            sd=float(estimates.std(ddof=1)),
+            sd=float(estimates.std(ddof=1)) if estimates.shape[0] > 1 else 0.0,
             rmse=float(np.sqrt(np.mean(errors**2))),
             mean_sq_offdiag=float(stats.mean()),
             ratio_deviation=float(deviations.mean()),

@@ -101,6 +101,26 @@ def scaled_deviations(g: GrmView) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+# Rows per panel of a sweep over pairs: a panel of n float64 columns is
+# n * 2 KiB, so a sweep holds O(n * panel) memory whatever the study size.
+_PANEL_ROWS = 256
+
+
+def _offdiagonal_panels(g: GrmView):
+    """Yield ``(first_row, panel)`` over blocks of ``_PANEL_ROWS`` rows.
+
+    Each panel is a fresh copy of those rows of ``g.g`` with their diagonal
+    entries set to 0, so the caller may overwrite it. Each row's entries are
+    the same whatever the panel height, so row-wise results are too.
+    """
+    n = g.n_individuals
+    for lo in range(0, n, _PANEL_ROWS):
+        panel = g.g[lo:lo + _PANEL_ROWS].copy()
+        rows = np.arange(panel.shape[0])
+        panel[rows, lo + rows] = 0.0
+        yield lo, panel
+
+
 @dataclass(frozen=True)
 class EnCheckResult:
     holds: bool
@@ -119,11 +139,10 @@ def event_en_check(g: GrmView, gamma: float) -> EnCheckResult:
     if not (0.0 < gamma < 0.1):
         raise ValueError(f"gamma must lie in (0, 1/10), got {gamma}")
     eps_n = float(g.n_loci) ** -(0.5 - gamma)
-    diag = np.diag(g.g)
-    sup_diag = float(np.abs(diag - 1.0).max())
-    off = np.abs(g.g - np.diag(diag))
-    np.fill_diagonal(off, 0.0)
-    sup_off = float(off.max())
+    sup_diag = float(np.abs(np.diag(g.g) - 1.0).max())
+    # np.max, unlike the builtin max, returns NaN when any panel holds a NaN
+    sup_off = float(np.max([np.abs(panel, out=panel).max()
+                            for _, panel in _offdiagonal_panels(g)]))
     return EnCheckResult(
         holds=bool(sup_diag <= eps_n and sup_off <= eps_n),
         sup_diag_dev=sup_diag,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -505,17 +506,27 @@ def load_dataset(path: str | Path) -> StudyData:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a dataset container (bad magic {magic!r})")
-        blob_len = int.from_bytes(fh.read(8), "little")
+        size = os.fstat(fh.fileno()).st_size
+        length = fh.read(8)
+        blob_len = int.from_bytes(length, "little")
+        if len(length) < 8 or fh.tell() + blob_len > size:
+            raise ValueError(f"{path}: truncated header ({size} bytes)")
         header = json.loads(fh.read(blob_len))
         if header["version"] != _VERSION:
             raise ValueError(f"{path}: unsupported container version {header['version']}")
         arrays = {}
         for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            dtype = np.dtype(spec["dtype"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(fh.read(count * dtype.itemsize), dtype=dtype)
-            arrays[spec["name"]] = arr.reshape(shape).copy()
+            name, shape, dtype = spec["name"], tuple(spec["shape"]), np.dtype(spec["dtype"])
+            if dtype.hasobject:
+                raise ValueError(f"{path}: array {name!r} has unsupported dtype {dtype}")
+            expected, available = math.prod(shape) * dtype.itemsize, size - fh.tell()
+            if expected > available:
+                raise ValueError(f"{path}: array {name!r} is truncated: "
+                                 f"expected {expected} bytes, got {available}")
+            arrays[name] = np.empty(shape, dtype=dtype)
+            fh.readinto(arrays[name])
+        if size > fh.tell():
+            raise ValueError(f"{path}: {size - fh.tell()} trailing bytes after the last array")
     design = design_from_prevalences(
         header["population_prevalence"], header["study_prevalence"]
     )

@@ -2,21 +2,28 @@
 heritability estimators."""
 
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from heritcc import grm as grm_module
 from heritcc.estimators import (
     estimate_first_order,
     estimate_second_order,
     second_order_objective,
     _objective_coefficients,
+    _pair_moment_pieces,
 )
 from heritcc.grm import GrmView, grm_compute
 from heritcc.moments import pair_moment_slope, second_order_pair_expectation
 from heritcc.grm import sigma_pair
+from heritcc.numerics import rng_create
 from heritcc.simulate import (
     AscertainedSample,
     design_from_prevalences,
+    make_distribution,
+    sample_genotype_matrix,
     simulate_case_control_study,
     standardize,
 )
@@ -160,8 +167,6 @@ class TestSecondOrderObjective:
     def test_pieces_match_pair_moment_formula(self):
         # per-pair model eta*c1 + eta^2*c2 equals the scalar approximation
         sample, g, design = _simulated_inputs(seed=9, n_loci=200, target_cases=10, kind="standard-normal")
-        from heritcc.estimators import _pair_moment_pieces
-
         c1, c2 = _pair_moment_pieces(g, design, g.n_loci)
         eta = 0.6
         for i, j in [(0, 1), (2, 5), (4, 3)]:
@@ -283,3 +288,66 @@ class TestSecondOrderEstimator:
         report = estimate_second_order(_sample_from_w(w), g, design, g.n_loci)
         assert not report.converged
         assert 0.0 <= report.eta_hat <= 1.0
+
+
+def _dense_coefficients(sample, g, design, n_loci):
+    # the quartic's coefficients from whole n x n arrays of the pair pieces
+    c1, c2 = _pair_moment_pieces(g, design, n_loci)
+    products = np.outer(sample.w, sample.w)
+    np.fill_diagonal(products, 0.0)
+    return np.array([
+        (products * products).sum(),
+        -2.0 * (products * c1).sum(),
+        (c1 * c1).sum() - 2.0 * (products * c2).sum(),
+        2.0 * (c1 * c2).sum(),
+        (c2 * c2).sum(),
+    ])
+
+
+def _study_of_size(n, kind, n_loci=300):
+    # exactly n individuals; columns that come out constant are dropped
+    rs = rng_create(n)
+    dist = make_distribution(kind, n_loci, rs.spawn(0))
+    x = sample_genotype_matrix(dist, n, n_loci, rs.spawn(1)).values.astype(np.float64)
+    g = grm_compute(standardize(x[:, x.std(axis=0) > 0.0]))
+    w = np.random.default_rng(n).normal(size=n)
+    return _sample_from_w(w), g
+
+
+class TestPanelSweep:
+    @pytest.mark.parametrize("kind", ["standard-normal", "binomial-2-p", "rademacher"])
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 600])
+    def test_matches_dense_pieces(self, kind, n):
+        # n around the 256-row panel height: one short panel, one exact
+        # panel, a one-row tail and several panels
+        sample, g = _study_of_size(n, kind)
+        fast = _objective_coefficients(sample, g, REFERENCE, g.n_loci)
+        dense = _dense_coefficients(sample, g, REFERENCE, g.n_loci)
+        np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rows", [7, 1000])
+    def test_panel_height_does_not_change_coefficients(self, monkeypatch, rows):
+        sample, g = _study_of_size(600, "binomial-2-p")
+        default = _objective_coefficients(sample, g, REFERENCE, g.n_loci)
+        monkeypatch.setattr(grm_module, "_PANEL_ROWS", rows)
+        assert np.array_equal(_objective_coefficients(sample, g, REFERENCE, g.n_loci), default)
+
+    def test_peak_memory_is_panels_not_matrices(self):
+        n = 3000
+        x = np.random.default_rng(3).normal(size=(n, 20))
+        g = grm_compute(standardize(x))
+        sample = _sample_from_w(np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
+        one_matrix = n * n * 8
+        peaks = {}
+        for name, fn in [("coefficients", _objective_coefficients),
+                         ("estimate", estimate_second_order)]:
+            tracemalloc.start()
+            try:
+                fn(sample, g, REFERENCE, 5000)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["coefficients"] < 0.5 * one_matrix
+        # the first-order call at the top keeps its one n x n temporary in
+        # _pair_sums; the sweep adds only panels on top of it
+        assert peaks["estimate"] < 1.5 * one_matrix

@@ -1,6 +1,7 @@
 """Tests for the replication harness, timing grid, and consistency study."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -244,3 +245,11 @@ class TestConsistencyStudy:
             ratio_a=0.05, n_loci_values=[400], reps=4, seed=17,
         )
         assert rows[0].reps == 3
+
+    def test_one_usable_replication_gives_zero_sd_without_warnings(self):
+        # as summarize_records does for one value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_consistency_study(0.5, 0.2, 0.5, 0.05, [400], 1, 3)
+        assert rows[0].reps == 1
+        assert rows[0].sd == 0.0

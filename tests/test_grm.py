@@ -1,9 +1,11 @@
 """Tests for the relationship matrix, its deviations, and the moment suite."""
 
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from heritcc import grm as grm_module
 from heritcc.grm import (
     GrmView,
     event_en_check,
@@ -149,6 +151,47 @@ class TestEventEnCheck:
             if event_en_check(g, 0.05).holds:
                 hits += 1
         assert hits == 0
+
+
+def _dense_en_values(g, gamma):
+    # the whole-matrix formula the panel sweep replaced
+    diag = np.diag(g.g)
+    sup_diag = float(np.abs(diag - 1.0).max())
+    off = np.abs(g.g - np.diag(diag))
+    np.fill_diagonal(off, 0.0)
+    sup_off = float(off.max())
+    eps_n = float(g.n_loci) ** -(0.5 - gamma)
+    return bool(sup_diag <= eps_n and sup_off <= eps_n), sup_diag, sup_off, eps_n
+
+
+class TestEventEnCheckPanels:
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 600])
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_exactly_the_dense_formula(self, monkeypatch, n, rows):
+        if rows is not None:
+            monkeypatch.setattr(grm_module, "_PANEL_ROWS", rows)
+        g = grm_compute(_random_z(n, 50, n))
+        res = event_en_check(g, 0.05)
+        assert (res.holds, res.sup_diag_dev, res.sup_offdiag, res.eps_n) == \
+            _dense_en_values(g, 0.05)
+
+    def test_largest_entry_in_a_late_panel_and_nan(self):
+        mat = np.eye(600)
+        mat[599, 3] = mat[3, 599] = -0.25
+        assert event_en_check(GrmView(mat, 600, 10_000), 0.05).sup_offdiag == 0.25
+        mat[598, 597] = np.nan
+        assert np.isnan(event_en_check(GrmView(mat, 600, 10_000), 0.05).sup_offdiag)
+
+    def test_peak_memory_is_panels_not_matrices(self):
+        n = 3000
+        g = grm_compute(standardize(np.random.default_rng(4).normal(size=(n, 20))))
+        tracemalloc.start()
+        try:
+            event_en_check(g, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * n * 8
 
 
 class TestMeanSquareOffdiagonal:

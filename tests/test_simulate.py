@@ -332,3 +332,43 @@ class TestDatasetContainer:
         with pytest.raises(ValueError, match="magic"):
             load_dataset(path)
 
+    @staticmethod
+    def _saved(tmp_path):
+        study = simulate_case_control_study(
+            heritability=0.3, population_prevalence=0.2, study_prevalence=0.5,
+            n_loci=30, target_cases=15, seed=21,
+        )
+        path = tmp_path / "study.hccd"
+        save_dataset(path, study)
+        data = path.read_bytes()
+        header_end = 12 + int.from_bytes(data[4:12], "little")
+        return path, data, header_end, study.sample
+
+    @pytest.mark.parametrize("where", ["length", "header"])
+    def test_truncated_header_is_named(self, tmp_path, where):
+        path, data, header_end, _ = self._saved(tmp_path)
+        path.write_bytes(data[:8] if where == "length" else data[:header_end - 5])
+        with pytest.raises(ValueError, match="truncated header"):
+            load_dataset(path)
+
+    def test_truncated_first_array_is_named_with_byte_counts(self, tmp_path):
+        path, data, header_end, sample = self._saved(tmp_path)
+        path.write_bytes(data[:header_end + 100])
+        with pytest.raises(ValueError, match=rf"'z' is truncated: expected "
+                                             rf"{sample.z_study.z.nbytes} bytes, got 100"):
+            load_dataset(path)
+
+    def test_truncated_last_array_is_named_with_byte_counts(self, tmp_path):
+        path, data, _, sample = self._saved(tmp_path)
+        path.write_bytes(data[:-3])
+        expected = sample.indices.shape[0] * 8
+        with pytest.raises(ValueError, match=rf"'indices' is truncated: expected "
+                                             rf"{expected} bytes, got {expected - 3}"):
+            load_dataset(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, data, _, _ = self._saved(tmp_path)
+        path.write_bytes(data + b"\0\0")
+        with pytest.raises(ValueError, match="2 trailing bytes"):
+            load_dataset(path)
+
