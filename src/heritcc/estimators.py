@@ -7,13 +7,17 @@ is a quartic polynomial in heritability, so one sweep over pairs yields five
 coefficients, and its minimum on [0, 1] lies at an endpoint or at a real root
 of the cubic derivative.
 
-The sweep reads the relationship matrix in row panels, with the diagonal set
-to 0. From each panel it keeps only per-row sums of the first four
-elementwise powers of the scaled off-diagonal entries, weighted by the
-phenotype vector, by the scaled diagonal excess or by one. The five
-coefficients are dot products of those row sums, so memory is O(n * panel)
-and no n x n array is formed. The dense per-pair pieces remain as the
-definition that ``second_order_objective`` evaluates directly.
+Both estimators read the relationship matrix in row panels, with the
+diagonal set to 0, and keep only per-row sums from each panel; the totals
+are dot products of those row sums, so memory is O(n * panel) and no n x n
+array is formed. The first-order pass keeps two row sums, of the entries
+weighted by the phenotype vector and of the squared entries. The
+second-order sweep keeps per-row sums of the first four elementwise powers
+of the scaled off-diagonal entries, weighted by the phenotype vector, by the
+scaled diagonal excess or by one; they include the first-order ones, and the
+sweep makes the same input checks, so the second-order estimate does not run
+the first-order one. The dense per-pair pieces remain as the definition that
+``second_order_objective`` evaluates directly.
 """
 
 from __future__ import annotations
@@ -55,12 +59,31 @@ def _clamp_unit(x: float) -> float:
 def _pair_sums(w: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     """Ordered off-diagonal sums: product-weighted entries and squared entries.
 
-    The sums avoid BLAS, whose matrix-vector products can round differently
-    at different thread counts."""
-    diag = np.diag(g)
-    num = float(np.einsum("i,ij,j->", w, g, w) - ((w * w) * diag).sum())
-    den = float((g * g).sum() - (diag * diag).sum())
-    return num, den
+    One pass over row panels of ``g`` keeps the per-row sums, so there is no
+    n x n temporary and the result does not depend on the panel height. The
+    sums avoid BLAS, whose matrix-vector products can round differently at
+    different thread counts."""
+    gw, gg = np.empty((2, w.shape[0]))
+    for lo, panel in _offdiagonal_panels(g):
+        rows = slice(lo, lo + panel.shape[0])
+        np.einsum("ij,j->i", panel, w, out=gw[rows])
+        np.einsum("ij,ij->i", panel, panel, out=gg[rows])
+    return float(np.einsum("i,i->", w, gw)), float(gg.sum())
+
+
+def _checked_weights(sample: AscertainedSample, g: GrmView) -> np.ndarray:
+    """The centered phenotypes, after the input checks both estimators share."""
+    w = np.asarray(sample.w, dtype=np.float64)
+    if w.shape[0] < 2:
+        raise ValueError("need at least two selected individuals")
+    if w.shape[0] != g.n_individuals:
+        raise ValueError(
+            f"sample size {w.shape[0]} does not match relatedness matrix {g.n_individuals}"
+        )
+    return w
+
+
+_DEGENERATE = "degenerate design: off-diagonal relatedness is identically zero"
 
 
 def estimate_first_order(sample: AscertainedSample, g: GrmView,
@@ -72,17 +95,11 @@ def estimate_first_order(sample: AscertainedSample, g: GrmView,
             off-diagonal relatedness entry is zero (degenerate design).
     """
     start = time.perf_counter()
-    w = np.asarray(sample.w, dtype=np.float64)
-    if w.shape[0] < 2:
-        raise ValueError("need at least two selected individuals")
-    if w.shape[0] != g.n_individuals:
-        raise ValueError(
-            f"sample size {w.shape[0]} does not match relatedness matrix {g.n_individuals}"
-        )
+    w = _checked_weights(sample, g)
     num, den_sq = _pair_sums(w, g.g)
     slope = pair_moment_slope(design)
     if den_sq <= 0.0:
-        raise ValueError("degenerate design: off-diagonal relatedness is identically zero")
+        raise ValueError(_DEGENERATE)
     raw = num / (slope * den_sq)
     return EstimateReport(
         method="first-order",
@@ -151,15 +168,20 @@ def _objective_coefficients(sample: AscertainedSample, g: GrmView,
     collects those row sums: O(n * panel) memory, no n x n temporary. The
     sums use einsum and elementwise reductions, never BLAS, whose rounding
     depends on the thread count; each row sum sees one whole row, so the
-    result does not depend on the panel height either.
+    result does not depend on the panel height either. The row sums of B w
+    and B_2 are, up to the factor sqrt(M), the ones the first-order estimate
+    sums, so the sweep does all of the first-order work and more.
+
+    Raises:
+        ValueError: the first-order estimator's, on the same inputs.
     """
-    w = np.asarray(sample.w, dtype=np.float64)
+    w = _checked_weights(sample, g)
     alpha, beta, gamma, delta = _moment_weights(design, n_loci)
     root = math.sqrt(g.n_loci)
     a = root * (np.diag(g.g) - 1.0)
     n = w.shape[0]
     bw, ba, b2w, b2a, b2, b3, b4 = np.empty((7, n))
-    for lo, b in _offdiagonal_panels(g):
+    for lo, b in _offdiagonal_panels(g.g):
         rows = slice(lo, lo + b.shape[0])
         b *= root
         np.einsum("ij,j->i", b, w, out=bw[rows])
@@ -171,6 +193,9 @@ def _objective_coefficients(sample: AscertainedSample, g: GrmView,
         np.einsum("ij,ij->i", power, power, out=b4[rows])
         power *= b
         power.sum(axis=1, out=b3[rows])
+    b2_sum = float(b2.sum())
+    if b2_sum <= 0.0:
+        raise ValueError(_DEGENERATE)
 
     def dot(x, y):
         return float(np.einsum("i,i->", x, y))
@@ -180,7 +205,7 @@ def _objective_coefficients(sample: AscertainedSample, g: GrmView,
     p_c1 = alpha * dot(w, bw)
     p_c2 = (beta * (dot(w, a) ** 2 - dot(wsq, asq)) + gamma * dot(w, b2w)
             + 2.0 * delta * dot(w * a, bw))
-    c1_sq = alpha * alpha * float(b2.sum())
+    c1_sq = alpha * alpha * b2_sum
     c1_c2 = alpha * (beta * dot(a, ba) + gamma * float(b3.sum()) + 2.0 * delta * dot(a, b2))
     a_b2_a = dot(a, b2a)
     c2_sq = (beta * beta * (float(asq.sum()) ** 2 - dot(asq, asq))
@@ -207,9 +232,12 @@ def estimate_second_order(sample: AscertainedSample, g: GrmView,
     parts and every root is clipped to [0, 1]: extra points inside the
     interval cannot move the minimum. ``converged`` is False, and nothing is
     raised, when a coefficient is not finite.
+
+    Raises:
+        ValueError: as :func:`estimate_first_order` does, from the checks in
+            the coefficient sweep.
     """
     start = time.perf_counter()
-    estimate_first_order(sample, g, design)  # the input checks
     poly = _objective_coefficients(sample, g, design, n_loci)[::-1]
     converged = bool(np.isfinite(poly).all())
     candidates = np.array([0.0, 1.0])

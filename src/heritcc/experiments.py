@@ -295,7 +295,9 @@ def run_timing(n_values: list[int], n_loci_values: list[int],
     """Median-of-``repeats`` wall time per grid point, one warm-up run each.
 
     Timed work: standardize + relationship matrix + estimator, matching the
-    cost of producing one estimate from raw study genotypes.
+    cost of producing one estimate from raw study genotypes. Within a grid
+    point the methods take turns, one repeat each, so a drift in host speed
+    lands on every method alike rather than on whichever ran later.
     """
     if not n_values or not n_loci_values:
         raise ValueError("timing grids must be nonempty")
@@ -304,14 +306,16 @@ def run_timing(n_values: list[int], n_loci_values: list[int],
     for n in n_values:
         for n_loci in n_loci_values:
             raw, sample = _timing_inputs(n, n_loci, study_prevalence, seed)
+            times = {method: [] for method in methods}
             for method in methods:
                 _run_estimation(raw.values, sample, design, n_loci, method)  # warm-up
-                times = []
-                for _ in range(repeats):
+            for _ in range(repeats):
+                for method in methods:
                     t0 = time.perf_counter()
                     _run_estimation(raw.values, sample, design, n_loci, method)
-                    times.append(time.perf_counter() - t0)
-                rows.append(TimingRow(n, n_loci, method, statistics.median(times)))
+                    times[method].append(time.perf_counter() - t0)
+            rows.extend(TimingRow(n, n_loci, method, statistics.median(times[method]))
+                        for method in methods)
     return rows
 
 

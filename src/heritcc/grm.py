@@ -10,6 +10,7 @@ identity feed the pair-moment approximations.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,22 +48,20 @@ class GrmView:
 def grm_compute(z) -> GrmView:
     """Relationship matrix: cross products of standardized rows over loci.
 
-    Cost is one n x n_loci by n_loci x n product (BLAS-blocked); the result is
-    symmetrized exactly. The product runs on the rows padded with zero rows
-    to a multiple of 8: OpenBLAS rounds such a product the same way at 1 to
-    4 threads, and other row counts differently per thread count. So a
-    replication in a one-thread pool worker gives the record it gives in a
-    multi-threaded process.
+    Cost is one product of the padded rows with their transpose
+    (BLAS-blocked); the matrix is the leading n x n block of that product,
+    scaled in place by 1/n_loci. ``z.padded`` holds the rows with zero rows
+    appended up to a multiple of 8: OpenBLAS rounds such a product the same
+    way at 1 to 4 threads, and other row counts differently per thread count.
+    So a replication in a one-thread pool worker gives the record it gives in
+    a multi-threaded process. numpy computes ``x @ x.T`` as a symmetric
+    product whose output is exactly symmetric, so no symmetrization is needed.
     """
     n = z.n_individuals
     if n < 2 or z.n_loci < 1:
         raise ValueError("need at least 2 individuals and 1 locus")
-    padded = z.z
-    if n % 8:
-        padded = np.concatenate([z.z, np.zeros((8 - n % 8, z.n_loci))])
-    full = padded @ padded.T
-    g = full[:n, :n] + full[:n, :n].T
-    g *= 0.5 / z.n_loci
+    g = (z.padded @ z.padded.T)[:n, :n]
+    g *= 1.0 / z.n_loci
     return GrmView(g=g, n_individuals=n, n_loci=z.n_loci)
 
 
@@ -106,16 +105,16 @@ def scaled_deviations(g: GrmView) -> tuple[np.ndarray, np.ndarray]:
 _PANEL_ROWS = 256
 
 
-def _offdiagonal_panels(g: GrmView):
-    """Yield ``(first_row, panel)`` over blocks of ``_PANEL_ROWS`` rows.
+def _offdiagonal_panels(g: np.ndarray):
+    """Yield ``(first_row, panel)`` over blocks of ``_PANEL_ROWS`` rows of the
+    square matrix ``g``.
 
-    Each panel is a fresh copy of those rows of ``g.g`` with their diagonal
-    entries set to 0, so the caller may overwrite it. Each row's entries are
-    the same whatever the panel height, so row-wise results are too.
+    Each panel is a fresh copy of those rows with their diagonal entries set
+    to 0, so the caller may overwrite it. Each row's entries are the same
+    whatever the panel height, so row-wise results are too.
     """
-    n = g.n_individuals
-    for lo in range(0, n, _PANEL_ROWS):
-        panel = g.g[lo:lo + _PANEL_ROWS].copy()
+    for lo in range(0, g.shape[0], _PANEL_ROWS):
+        panel = g[lo:lo + _PANEL_ROWS].copy()
         rows = np.arange(panel.shape[0])
         panel[rows, lo + rows] = 0.0
         yield lo, panel
@@ -142,7 +141,7 @@ def event_en_check(g: GrmView, gamma: float) -> EnCheckResult:
     sup_diag = float(np.abs(np.diag(g.g) - 1.0).max())
     # np.max, unlike the builtin max, returns NaN when any panel holds a NaN
     sup_off = float(np.max([np.abs(panel, out=panel).max()
-                            for _, panel in _offdiagonal_panels(g)]))
+                            for _, panel in _offdiagonal_panels(g.g)]))
     return EnCheckResult(
         holds=bool(sup_diag <= eps_n and sup_off <= eps_n),
         sup_diag_dev=sup_diag,
@@ -154,10 +153,11 @@ def event_en_check(g: GrmView, gamma: float) -> EnCheckResult:
 def mean_square_offdiagonal(g: GrmView) -> float:
     """Off-diagonal mean square, scaled by 1/n: sum over ordered pairs of
     squared entries divided by n. Concentrates near n/n_loci for standardized
-    independent loci."""
-    sq = g.g * g.g
-    total = float(sq.sum() - np.trace(sq))
-    return total / g.n_individuals
+    independent loci. Summed over row panels: no n x n temporary."""
+    row_sq = np.empty(g.n_individuals)
+    for lo, panel in _offdiagonal_panels(g.g):
+        np.einsum("ij,ij->i", panel, panel, out=row_sq[lo:lo + panel.shape[0]])
+    return float(row_sq.sum()) / g.n_individuals
 
 
 @dataclass(frozen=True)
@@ -280,6 +280,7 @@ def grm_to_csv(path: str | Path, g: GrmView, max_n: int = 1000) -> None:
 
 
 _GRM_MAGIC = b"HCCG"
+_GRM_HEADER_BYTES = 20  # magic, then n and n_loci as 8-byte little-endian
 
 
 def save_grm(path: str | Path, g: GrmView) -> None:
@@ -291,10 +292,27 @@ def save_grm(path: str | Path, g: GrmView) -> None:
 
 
 def load_grm(path: str | Path) -> GrmView:
+    """Read a container written by :func:`save_grm`.
+
+    Raises:
+        ValueError: naming the path on a bad magic, and naming the expected
+            and available bytes when the header or the matrix is cut short or
+            bytes follow the matrix.
+    """
     with open(path, "rb") as fh:
         if fh.read(4) != _GRM_MAGIC:
             raise ValueError(f"{path}: not a relationship-matrix container")
+        size = os.fstat(fh.fileno()).st_size
+        if size < _GRM_HEADER_BYTES:
+            raise ValueError(f"{path}: truncated header: expected {_GRM_HEADER_BYTES} "
+                             f"bytes, got {size}")
         n = int.from_bytes(fh.read(8), "little")
         n_loci = int.from_bytes(fh.read(8), "little")
-        g = np.frombuffer(fh.read(n * n * 8), dtype=np.float64).reshape(n, n).copy()
+        expected, available = n * n * 8, size - _GRM_HEADER_BYTES
+        if expected != available:
+            what = "truncated matrix" if expected > available else "trailing bytes after the matrix"
+            raise ValueError(f"{path}: {what}: expected {expected} bytes for "
+                             f"{n} x {n} float64, got {available}")
+        g = np.empty((n, n))
+        fh.readinto(g)
     return GrmView(g=g, n_individuals=n, n_loci=n_loci)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -148,17 +148,48 @@ def sample_genotype_matrix(dist: GenotypeDistribution, n_individuals: int,
     return GenotypeMatrix(_sample_rows(dist, n_individuals, n_loci, rs.generator))
 
 
+def _padded_rows(n_rows: int, n_cols: int) -> np.ndarray:
+    """Float64 buffer of ``n_rows`` rows rounded up to a multiple of 8, with
+    the extra rows zero."""
+    buf = np.empty((n_rows + -n_rows % 8, n_cols))
+    buf[n_rows:] = 0.0
+    return buf
+
+
 @dataclass(frozen=True)
 class StandardizedGenotypes:
     """Empirically centered and scaled genotypes.
 
     Every column satisfies sum(z) = 0 and sum(z^2) = n up to rounding, with
     the scale computed as the 1/n-normalized standard deviation.
+
+    The rows live in ``padded``, a float64 buffer with zero rows appended up
+    to a multiple of 8 rows, and ``z`` is the view of its first n rows; the
+    relationship matrix multiplies ``padded`` as it is. A ``z`` that is
+    already such a view, as :func:`standardize` and :func:`load_dataset`
+    make it, is kept; any other is copied into a new buffer.
     """
 
     z: np.ndarray
     col_means: np.ndarray
     col_sds: np.ndarray
+    padded: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n, n_loci = self.z.shape
+        padded = self.z.base
+        if not (isinstance(padded, np.ndarray) and padded.dtype == np.float64
+                and padded.shape == (n + -n % 8, n_loci) and padded.flags.c_contiguous
+                and self.z.flags.c_contiguous and self.z.ctypes.data == padded.ctypes.data
+                and not padded[n:].any()):
+            padded = _padded_rows(n, n_loci)
+            padded[:n] = self.z
+            object.__setattr__(self, "z", padded[:n])
+        object.__setattr__(self, "padded", padded)
+
+    def __reduce__(self):
+        # pickle the n rows once; unpickling pads them again
+        return StandardizedGenotypes, (self.z, self.col_means, self.col_sds)
 
     @property
     def n_individuals(self) -> int:
@@ -172,19 +203,42 @@ class StandardizedGenotypes:
 def standardize(a: GenotypeMatrix | np.ndarray) -> StandardizedGenotypes:
     """Center and scale each column to empirical mean 0 and mean square 1.
 
+    Works in row blocks of about ``_BUFFER_BYTES`` and writes the centered
+    rows straight into the padded output buffer. The column sums add the rows
+    in order, as numpy's ``sum(axis=0)`` does (each block is reduced with the
+    running sum as its first row), so the means and scales, and hence z, have
+    the same bits as the whole-matrix ``mean(axis=0)`` formulas.
+
     Raises:
         ValueError: naming the first offending column if any column has zero
             empirical variance.
     """
     values = a.values if isinstance(a, GenotypeMatrix) else np.asarray(a)
-    work = values.astype(np.float64, copy=False)
-    means = work.mean(axis=0)
-    centered = work - means
-    sds = np.sqrt(np.mean(centered * centered, axis=0))
+    n, n_loci = values.shape
+    padded = _padded_rows(n, n_loci)
+    z = padded[:n]
+    block_rows = max(1, min(n, _BUFFER_BYTES // (8 * n_loci)))
+    blocks = [(lo, min(lo + block_rows, n)) for lo in range(0, n, block_rows)]
+    work = np.empty((block_rows + 1, n_loci))  # row 0: the running sum
+
+    means = np.zeros(n_loci)
+    for lo, hi in blocks:
+        work[0] = means
+        work[1:hi - lo + 1] = values[lo:hi]
+        np.add.reduce(work[:hi - lo + 1], axis=0, out=means)
+    means /= n
+    sumsq = np.zeros(n_loci)
+    for lo, hi in blocks:
+        np.subtract(values[lo:hi], means, out=z[lo:hi])
+        work[0] = sumsq
+        np.multiply(z[lo:hi], z[lo:hi], out=work[1:hi - lo + 1])
+        np.add.reduce(work[:hi - lo + 1], axis=0, out=sumsq)
+    sds = np.sqrt(sumsq / n)
     zero = np.flatnonzero(sds == 0.0)
     if zero.size:
         raise ValueError(f"column {int(zero[0])} has zero empirical variance")
-    return StandardizedGenotypes(centered / sds, means, sds)
+    z /= sds
+    return StandardizedGenotypes(z, means, sds)
 
 
 @dataclass(frozen=True)
@@ -523,7 +577,14 @@ def load_dataset(path: str | Path) -> StudyData:
             if expected > available:
                 raise ValueError(f"{path}: array {name!r} is truncated: "
                                  f"expected {expected} bytes, got {available}")
-            arrays[name] = np.empty(shape, dtype=dtype)
+            if name == "z":
+                # read straight into the rows of the padded buffer
+                if dtype != np.float64 or len(shape) != 2:
+                    raise ValueError(f"{path}: array 'z' must be 2-d float64, "
+                                     f"got {dtype} of shape {shape}")
+                arrays[name] = _padded_rows(*shape)[:shape[0]]
+            else:
+                arrays[name] = np.empty(shape, dtype=dtype)
             fh.readinto(arrays[name])
         if size > fh.tell():
             raise ValueError(f"{path}: {size - fh.tell()} trailing bytes after the last array")

@@ -14,6 +14,7 @@ from heritcc.estimators import (
     second_order_objective,
     _objective_coefficients,
     _pair_moment_pieces,
+    _pair_sums,
 )
 from heritcc.grm import GrmView, grm_compute
 from heritcc.moments import pair_moment_slope, second_order_pair_expectation
@@ -338,16 +339,50 @@ class TestPanelSweep:
         g = grm_compute(standardize(x))
         sample = _sample_from_w(np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
         one_matrix = n * n * 8
-        peaks = {}
-        for name, fn in [("coefficients", _objective_coefficients),
-                         ("estimate", estimate_second_order)]:
+        for fn, args in [(_objective_coefficients, (REFERENCE, 5000)),
+                         (estimate_second_order, (REFERENCE, 5000)),
+                         (estimate_first_order, (REFERENCE,))]:
             tracemalloc.start()
             try:
-                fn(sample, g, REFERENCE, 5000)
-                peaks[name] = tracemalloc.get_traced_memory()[1]
+                fn(sample, g, *args)
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks["coefficients"] < 0.5 * one_matrix
-        # the first-order call at the top keeps its one n x n temporary in
-        # _pair_sums; the sweep adds only panels on top of it
-        assert peaks["estimate"] < 1.5 * one_matrix
+            assert peak < 0.5 * one_matrix, fn.__name__
+
+
+def _dense_pair_sums(w, g):
+    # the whole-matrix formula the panel pass replaced
+    diag = np.diag(g)
+    return (float(np.einsum("i,ij,j->", w, g, w) - ((w * w) * diag).sum()),
+            float((g * g).sum() - (diag * diag).sum()))
+
+
+class TestPairSumPanels:
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 600])
+    def test_matches_dense_formula(self, n):
+        sample, g = _study_of_size(n, "standard-normal")
+        np.testing.assert_allclose(_pair_sums(sample.w, g.g), _dense_pair_sums(sample.w, g.g),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rows", [7, 1000])
+    def test_panel_height_does_not_change_sums(self, monkeypatch, rows):
+        sample, g = _study_of_size(600, "binomial-2-p")
+        default = _pair_sums(sample.w, g.g)
+        monkeypatch.setattr(grm_module, "_PANEL_ROWS", rows)
+        assert _pair_sums(sample.w, g.g) == default
+
+
+class TestSecondOrderInputChecks:
+    @pytest.mark.parametrize("w, mat", [
+        ([1.0], np.eye(1)),                    # one row
+        ([1.0, -1.0, 1.0], np.eye(2)),         # sizes differ
+        ([1.0, -1.0, 1.0], np.eye(3)),         # off-diagonal all zero
+    ])
+    def test_raises_what_first_order_raises(self, w, mat):
+        sample, g = _sample_from_w(w), _grm_from_matrix(mat)
+        with pytest.raises(ValueError) as first:
+            estimate_first_order(sample, g, REFERENCE)
+        with pytest.raises(ValueError) as second:
+            estimate_second_order(sample, g, REFERENCE, 100)
+        assert str(second.value) == str(first.value)

@@ -204,6 +204,14 @@ class TestTiming:
         with pytest.raises(ValueError):
             run_timing([], [10])
 
+    def test_methods_take_turns_within_a_grid_point(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "_run_estimation",
+                            lambda raw, sample, design, n_loci, method: calls.append(method))
+        run_timing([20], [50], methods=("first", "second"), seed=1, repeats=3)
+        # one warm-up each, then the repeats alternate
+        assert calls == ["first", "second"] * 4
+
 
 class TestConsistencyStudy:
     def test_null_model_mean_small_where_estimator_is_precise(self):

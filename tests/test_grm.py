@@ -1,5 +1,6 @@
 """Tests for the relationship matrix, its deviations, and the moment suite."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,17 @@ from heritcc.grm import (
     z_property_suite,
 )
 from heritcc.numerics import rng_create
-from heritcc.simulate import make_distribution, sample_genotype_matrix, standardize
+from heritcc.simulate import (
+    AscertainedSample,
+    LiabilityParams,
+    StudyData,
+    design_from_prevalences,
+    load_dataset,
+    make_distribution,
+    sample_genotype_matrix,
+    save_dataset,
+    standardize,
+)
 
 
 def _random_z(n, n_loci, seed, kind="standard-normal"):
@@ -194,6 +205,57 @@ class TestEventEnCheckPanels:
         assert peak < 0.5 * n * n * 8
 
 
+def _symmetrized_grm(z):
+    # the formula grm_compute used before it read the padded buffer as is:
+    # a padded copy of z, then (G + G') / 2
+    n, n_loci = z.shape
+    padded = np.concatenate([z, np.zeros((-n % 8, n_loci))])
+    full = padded @ padded.T
+    return (full[:n, :n] + full[:n, :n].T) * (0.5 / n_loci)
+
+
+def _loaded_z(z_study, tmp_path):
+    # z_study as load_dataset returns it, read back from a container
+    n = z_study.n_individuals
+    y = np.arange(n) % 2 == 0
+    sample = AscertainedSample(indices=np.arange(n), y=y, w=np.where(y, 1.0, -1.0),
+                               n_cases=int(y.sum()), n_controls=int(n - y.sum()),
+                               z_study=z_study)
+    study = StudyData(sample=sample, design=design_from_prevalences(0.1, 0.5),
+                      liability=LiabilityParams(0.5), n_loci=z_study.n_loci,
+                      population_size=10 * n, seed=0, genotype_kind="standard-normal")
+    path = tmp_path / "study.hccd"
+    save_dataset(path, study)
+    return load_dataset(path).sample.z_study
+
+
+class TestPaddedProduct:
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 255, 257])
+    @pytest.mark.parametrize("source", ["standardize", "load_dataset"])
+    def test_same_bits_as_symmetrized_product(self, tmp_path, n, source):
+        z = _random_z(n, 300, n)
+        if source == "load_dataset":
+            z = _loaded_z(z, tmp_path)
+        g = grm_compute(z)
+        assert g.g.shape == (n, n)
+        assert np.array_equal(g.g, _symmetrized_grm(z.z))
+        assert np.array_equal(g.g, g.g.T)
+
+    @pytest.mark.parametrize("n", [3000, 3001])
+    def test_peak_memory_is_one_padded_product(self, n):
+        # 3001 rows need padding; a copy of z (24 MB at 1000 loci) or a
+        # second n x n array would break the bound
+        z = standardize(np.random.default_rng(5).normal(size=(n, 1000)))
+        rows = z.padded.shape[0]
+        tracemalloc.start()
+        try:
+            grm_compute(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows * rows * 8 + 8e6
+
+
 class TestMeanSquareOffdiagonal:
     def test_concentrates_near_finite_size_mean(self):
         # E[stat] = (n-1)/N * E[Z1^2 Z2^2] + (N-1)/(N(n-1)): the second term
@@ -221,6 +283,31 @@ class TestMeanSquareOffdiagonal:
             if i != j
         ) / 8
         assert mean_square_offdiagonal(g) == pytest.approx(manual, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 600])
+    def test_matches_dense_formula(self, n):
+        g = grm_compute(_random_z(n, 50, n))
+        sq = g.g * g.g
+        dense = float(sq.sum() - np.trace(sq)) / n
+        assert mean_square_offdiagonal(g) == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", [7, 1000])
+    def test_panel_height_does_not_change_value(self, monkeypatch, rows):
+        g = grm_compute(_random_z(600, 50, 6))
+        default = mean_square_offdiagonal(g)
+        monkeypatch.setattr(grm_module, "_PANEL_ROWS", rows)
+        assert mean_square_offdiagonal(g) == default
+
+    def test_peak_memory_is_panels_not_matrices(self):
+        n = 3000
+        g = grm_compute(standardize(np.random.default_rng(7).normal(size=(n, 20))))
+        tracemalloc.start()
+        try:
+            mean_square_offdiagonal(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * n * 8
 
 
 class TestZPropertySuite:
@@ -297,3 +384,30 @@ class TestGrmIO:
         back = load_grm(path)
         assert np.array_equal(back.g, g.g)
         assert back.n_loci == g.n_loci
+
+    @staticmethod
+    def _saved(tmp_path):
+        path = tmp_path / "grm.bin"
+        save_grm(path, grm_compute(_random_z(10, 30, 23)))
+        return path, path.read_bytes()
+
+    def test_matrix_cut_short_names_path_and_byte_counts(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(data[:-5])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated matrix: "
+                                                       "expected 800 bytes") + ".*got 795$"):
+            load_grm(path)
+
+    def test_header_cut_short_names_path_and_byte_counts(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(data[:12])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated header: "
+                                                       "expected 20 bytes, got 12")):
+            load_grm(path)
+
+    def test_trailing_bytes_name_path_and_byte_counts(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(data + b"\0\0")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: trailing bytes after the "
+                                                       "matrix: expected 800 bytes") + ".*got 802$"):
+            load_grm(path)

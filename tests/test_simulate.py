@@ -1,6 +1,8 @@
 """Tests for population simulation and case-control ascertainment."""
 
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -8,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heritcc import simulate as simulate_module
 from heritcc.numerics import RandomSource, rng_create
 from heritcc.simulate import (
     AscertainedSample,
     GenotypeMatrix,
     LiabilityParams,
+    StandardizedGenotypes,
+    StudyData,
     ascertain,
     attach_study_genotypes,
     design_from_prevalences,
@@ -56,6 +61,78 @@ class TestStandardize:
         a[:, :2] = np.random.default_rng(0).normal(size=(10, 2))
         with pytest.raises(ValueError, match="column 2"):
             standardize(a)
+
+
+def _dense_standardize(values):
+    # the whole-matrix formulas the row-block route replaced
+    work = values.astype(np.float64, copy=False)
+    means = work.mean(axis=0)
+    centered = work - means
+    sds = np.sqrt(np.mean(centered * centered, axis=0))
+    return centered / sds, means, sds
+
+
+def _study_rows(kind, n, n_loci, seed):
+    # raw rows as the pipeline passes them: row-major, in the kind's dtype
+    # (int8 or float32); constant columns dropped
+    rs = rng_create(seed)
+    dist = make_distribution(kind, n_loci, rs.spawn(0))
+    values = sample_genotype_matrix(dist, n, n_loci, rs.spawn(1)).values
+    return np.ascontiguousarray(values[:, values.std(axis=0) > 0.0])
+
+
+class TestStandardizeRowBlocks:
+    @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 300])
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_same_bits_as_whole_matrix_formulas(self, monkeypatch, kind, n, block_rows):
+        values = _study_rows(kind, n, 40, n)
+        if block_rows is not None:
+            monkeypatch.setattr(simulate_module, "_BUFFER_BYTES", block_rows * 8 * values.shape[1])
+        z = standardize(values)
+        for got, want in zip((z.z, z.col_means, z.col_sds), _dense_standardize(values)):
+            assert np.array_equal(got, want)
+        assert z.padded.shape == (n + -n % 8, values.shape[1])
+        assert not z.padded[n:].any()
+        assert np.shares_memory(z.z, z.padded)
+
+    def test_memory_layout_does_not_change_bits(self):
+        # numpy sums a column-major matrix pairwise down its columns; the
+        # row blocks add rows in order whatever the layout
+        values = _study_rows("standard-normal", 300, 40, 3)
+        row_major, column_major = standardize(values), standardize(np.asfortranarray(values))
+        for name in ("z", "col_means", "col_sds"):
+            assert np.array_equal(getattr(row_major, name), getattr(column_major, name))
+
+    def test_peak_memory_is_the_padded_output(self):
+        values = _study_rows("binomial-2-p", 3000, 1000, 8)
+        tracemalloc.start()
+        try:
+            z = standardize(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= z.padded.nbytes + 2 * simulate_module._BUFFER_BYTES
+
+    def test_z_outside_a_padded_buffer_is_copied_into_one(self):
+        # an owning array, a column-major one, and the rows of an 8-row
+        # buffer whose tail is not zero
+        rows = np.arange(6.0).reshape(3, 2)
+        for z in (rows, np.asfortranarray(rows), np.vstack([rows, np.ones((5, 2))])[:3]):
+            view = StandardizedGenotypes(z, None, None)
+            assert view.padded.shape == (8, 2) and not view.padded[3:].any()
+            assert np.array_equal(view.z, rows)
+            assert np.shares_memory(view.z, view.padded)
+        kept = StandardizedGenotypes(view.z, None, None)
+        assert kept.padded is view.padded
+        replaced = dataclasses.replace(kept, z=rows)
+        assert np.array_equal(replaced.z, rows) and replaced.padded is not kept.padded
+
+    def test_pickle_keeps_z_a_view_of_its_buffer(self):
+        z = standardize(_study_rows("standard-normal", 11, 5, 2))
+        back = pickle.loads(pickle.dumps(z))
+        assert np.array_equal(back.z, z.z) and np.array_equal(back.padded, z.padded)
+        assert np.shares_memory(back.z, back.padded)
 
 
 class TestDesign:
@@ -325,6 +402,33 @@ class TestDatasetContainer:
         save_dataset(p1, study)
         save_dataset(p2, study)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_z_is_read_into_a_padded_buffer(self, tmp_path):
+        study = simulate_case_control_study(0.5, 0.1, 0.5, 60, 20, seed=9)
+        path = tmp_path / "study.hccd"
+        save_dataset(path, study)
+        z = load_dataset(path).sample.z_study
+        n = z.n_individuals
+        assert z.padded.shape == (n + -n % 8, 60)
+        assert not z.padded[n:].any()
+        assert np.shares_memory(z.z, z.padded)
+
+    @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
+    def test_bytes_same_as_with_whole_matrix_formulas(self, tmp_path, kind):
+        # a container holds the n rows of z only, with the bits of the
+        # whole-matrix standardization of the same study rows
+        raw = _study_rows(kind, 400, 50, 31)
+        design = design_from_prevalences(0.2, 0.5)
+        y = RandomSource(32).generator.random(raw.shape[0]) < 0.2
+        sample = attach_study_genotypes(ascertain(y, design, RandomSource(33)), raw)
+        study = StudyData(sample=sample, design=design, liability=LiabilityParams(0.5),
+                          n_loci=raw.shape[1], population_size=raw.shape[0], seed=31,
+                          genotype_kind=kind)
+        dense = dataclasses.replace(study, sample=dataclasses.replace(
+            sample, z_study=StandardizedGenotypes(*_dense_standardize(raw[sample.indices]))))
+        save_dataset(tmp_path / "a.hccd", study)
+        save_dataset(tmp_path / "b.hccd", dense)
+        assert (tmp_path / "a.hccd").read_bytes() == (tmp_path / "b.hccd").read_bytes()
 
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "junk.bin"
