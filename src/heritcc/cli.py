@@ -51,12 +51,16 @@ __all__ = ["main", "entrypoint"]
 
 
 def _default_threads() -> int:
+    """``HERIT_THREADS`` if set, else the CPUs this process may run on (its
+    affinity mask, where the platform has one), not every CPU of the host."""
     env = os.environ.get("HERIT_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

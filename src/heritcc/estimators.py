@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grm import GrmView, _offdiagonal_panels, scaled_deviations
+from .grm import GrmView, _offdiagonal_panels
 from .moments import pair_moment_slope
 from .numerics import std_normal_pdf
 from .simulate import AscertainedSample, StudyDesign
@@ -132,9 +132,16 @@ def _moment_weights(design: StudyDesign, n_loci: int) -> tuple[float, float, flo
 def _pair_moment_pieces(g: GrmView, design: StudyDesign,
                         n_loci: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair coefficients (c1, c2) of the quadratic moment approximation,
-    so the modeled pair moment is eta*c1 + eta^2*c2. Diagonals zeroed."""
+    so the modeled pair moment is eta*c1 + eta^2*c2. Diagonals zeroed.
+
+    Built from whole n x n arrays of the scaled deviations of
+    :func:`~heritcc.grm.sigma_pair`: the diagonal excess a and the
+    off-diagonal entries b."""
     alpha, beta, gamma, delta = _moment_weights(design, n_loci)
-    a, b = scaled_deviations(g)
+    root = math.sqrt(g.n_loci)
+    a = root * (np.diag(g.g) - 1.0)
+    b = root * g.g
+    np.fill_diagonal(b, 0.0)
     a_col = a[:, None]
     a_row = a[None, :]
     c1 = alpha * b

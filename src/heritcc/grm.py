@@ -26,7 +26,6 @@ __all__ = [
     "ZPropertyReport",
     "grm_compute",
     "sigma_pair",
-    "scaled_deviations",
     "event_en_check",
     "mean_square_offdiagonal",
     "z_property_suite",
@@ -88,16 +87,6 @@ def sigma_pair(g: GrmView, i: int, j: int) -> SigmaPair:
         a_j=root * (g.g[j, j] - 1.0),
         b_ij=root * g.g[i, j],
     )
-
-
-def scaled_deviations(g: GrmView) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized scaled deviations: per-individual diagonal excess vector and
-    the full scaled matrix (diagonal meaningless, zeroed)."""
-    root = math.sqrt(g.n_loci)
-    a = root * (np.diag(g.g) - 1.0)
-    b = root * g.g.copy()
-    np.fill_diagonal(b, 0.0)
-    return a, b
 
 
 # Rows per panel of a sweep over pairs: a panel of n float64 columns is
@@ -288,7 +277,10 @@ def save_grm(path: str | Path, g: GrmView) -> None:
         fh.write(_GRM_MAGIC)
         fh.write(int(g.n_individuals).to_bytes(8, "little"))
         fh.write(int(g.n_loci).to_bytes(8, "little"))
-        fh.write(np.ascontiguousarray(g.g, dtype=np.float64).tobytes())
+        for row in np.asarray(g.g, dtype=np.float64):
+            # row by row: the rows of a GRM from grm_compute are contiguous,
+            # the whole matrix is not when n is not a multiple of 8
+            fh.write(np.ascontiguousarray(row).data)
 
 
 def load_grm(path: str | Path) -> GrmView:

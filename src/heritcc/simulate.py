@@ -23,6 +23,7 @@ from .numerics import RandomSource, std_normal_quantile
 
 __all__ = [
     "GenotypeMatrix",
+    "PackedGenotypes",
     "GenotypeDistribution",
     "StandardizedGenotypes",
     "StudyDesign",
@@ -53,9 +54,12 @@ _STREAM_FREQS = 3
 
 _BLOCK_ROWS = 2048
 # Count kinds draw each block of rows into one reused float64 buffer of this
-# size, so the draw adds this much memory to the int8 population matrix
+# size, so the draw adds this much memory to the population's bit planes
 # whatever the population size.
 _BUFFER_BYTES = 1 << 22
+# Rows per einsum of the liability pass; count kinds unpack this many rows of
+# their bit planes at a time.
+_LIABILITY_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,38 @@ class GenotypeMatrix:
     @property
     def n_loci(self) -> int:
         return int(self.values.shape[1])
+
+    def rows(self, indices) -> np.ndarray:
+        """The values of rows ``indices`` (an index array or a slice)."""
+        return self.values[indices]
+
+
+@dataclass(frozen=True, eq=False)
+class PackedGenotypes:
+    """Count-kind genotypes as bit planes packed along the loci axis.
+
+    ``planes[k]`` holds one bit per entry, ``np.packbits`` of the hits of the
+    k-th threshold compare, each row padded to whole bytes. ``binomial-2-p``
+    has two planes (count >= 1 and count >= 2) whose sum is the allele count:
+    N * M / 4 bytes. ``rademacher`` has one (value +1), mapped to 2b - 1:
+    N * M / 8 bytes, against N * M for the int8 matrix they encode.
+    """
+
+    planes: np.ndarray
+    kind: str
+    n_loci: int
+
+    def rows(self, indices) -> np.ndarray:
+        """The int8 genotypes of rows ``indices`` (an index array or a slice),
+        as :func:`sample_genotype_matrix` draws them."""
+        out = np.unpackbits(self.planes[0][indices], axis=1, count=self.n_loci).view(np.int8)
+        if self.kind == "binomial-2-p":
+            out += np.unpackbits(self.planes[1][indices], axis=1,
+                                 count=self.n_loci).view(np.int8)
+        else:
+            out *= 2
+            out -= 1
+        return out
 
 
 def _sample_rows(dist: GenotypeDistribution, n_rows: int, n_loci: int,
@@ -310,68 +346,71 @@ def simulate_population(z: StandardizedGenotypes, lp: LiabilityParams,
     return liabilities, y
 
 
-def _draw_count_population(dist: GenotypeDistribution, a: np.ndarray,
-                           gen: np.random.Generator,
-                           block_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fill the int8 matrix ``a`` block by block through two reused buffers.
+def _draw_count_population(dist: GenotypeDistribution, n_population: int, n_loci: int,
+                           gen: np.random.Generator, block_rows: int
+                           ) -> tuple[PackedGenotypes, np.ndarray, np.ndarray]:
+    """Draw the population block by block into bit planes, through two reused
+    buffers.
 
     Entries match :func:`_sample_rows` exactly: the uniforms come from the
-    same row-major stream and go through the same threshold compares. The
-    column sums and sums of squares come from integer counts of the compare
-    hits, so they are exact.
+    same row-major stream and go through the same threshold compares, whose
+    hits are packed into the planes. The column sums and sums of squares come
+    from integer counts of the compare hits, so they are exact.
     """
-    n_population = a.shape[0]
-    buf = np.empty((block_rows, a.shape[1]))
-    hit = np.empty((block_rows, a.shape[1]), dtype=bool)
     if dist.kind == "binomial-2-p":
         p = dist.allele_freqs
         q0 = (1.0 - p) ** 2             # P(count = 0)
         q01 = q0 + 2.0 * p * (1.0 - p)  # P(count <= 1)
-    at_least_1 = np.zeros(a.shape[1], dtype=np.int64)  # binomial: count >= 1; rademacher: +1
-    at_least_2 = np.zeros(a.shape[1], dtype=np.int64)
+        compares = [(np.greater_equal, q0), (np.greater_equal, q01)]
+    else:
+        compares = [(np.less, 0.5)]
+    planes = np.empty((len(compares), n_population, -(-n_loci // 8)), dtype=np.uint8)
+    # binomial: columns of count >= 1 and >= 2; rademacher: columns of +1
+    hits = np.zeros((len(compares), n_loci), dtype=np.int64)
+    buf = np.empty((block_rows, n_loci))
+    hit = np.empty((block_rows, n_loci), dtype=bool)
     for lo in range(0, n_population, block_rows):
         hi = min(lo + block_rows, n_population)
-        u, h, geno = buf[:hi - lo], hit[:hi - lo], a[lo:hi]
+        u, h = buf[:hi - lo], hit[:hi - lo]
         gen.random(out=u)
-        if dist.kind == "binomial-2-p":
-            np.greater_equal(u, q0, out=h)
-            geno[...] = h
-            at_least_1 += h.sum(axis=0)
-            np.greater_equal(u, q01, out=h)
-            geno += h.view(np.int8)
-            at_least_2 += h.sum(axis=0)
-        else:
-            np.less(u, 0.5, out=h)
-            np.multiply(h.view(np.int8), 2, out=geno)
-            geno -= 1
-            at_least_1 += h.sum(axis=0)
+        for k, (compare, threshold) in enumerate(compares):
+            compare(u, threshold, out=h)
+            planes[k, lo:hi] = np.packbits(h, axis=1)
+            hits[k] += h.sum(axis=0)
     if dist.kind == "binomial-2-p":
-        col_sum = at_least_1 + at_least_2
-        col_sumsq = at_least_1 + 3 * at_least_2
+        col_sum = hits[0] + hits[1]
+        col_sumsq = hits[0] + 3 * hits[1]
     else:
-        col_sum = 2 * at_least_1 - n_population
-        col_sumsq = np.full(a.shape[1], n_population)
-    return col_sum.astype(np.float64), col_sumsq.astype(np.float64)
+        col_sum = 2 * hits[0] - n_population
+        col_sumsq = np.full(n_loci, n_population)
+    packed = PackedGenotypes(planes, dist.kind, n_loci)
+    return packed, col_sum.astype(np.float64), col_sumsq.astype(np.float64)
 
 
 def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int,
                       lp: LiabilityParams, design: StudyDesign, rs: RandomSource,
-                      block_rows: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      block_rows: int | None = None
+                      ) -> tuple[GenotypeMatrix | PackedGenotypes, np.ndarray, np.ndarray]:
     """Blocked equivalent of sampling genotypes, standardizing, and running
     :func:`simulate_population`, without materializing the standardized matrix.
 
-    Returns ``(raw_genotypes, liabilities, phenotypes)``. The raw matrix is
-    kept in its compact dtype (int8 for count-like kinds); callers slice study
-    rows out of it. Results match the dense route to float rounding because
-    the genotype stream is consumed in the same row-major order regardless of
-    block size.
+    Returns ``(raw_genotypes, liabilities, phenotypes)``. Count kinds keep the
+    raw genotypes as :class:`PackedGenotypes` bit planes, ``standard-normal``
+    as a float32 :class:`GenotypeMatrix`; callers take study rows out of
+    either with ``rows(indices)``. Those rows are the bits the dense route
+    draws, because the genotype stream is consumed in the same row-major
+    order regardless of block size, and the liabilities match it to float
+    rounding.
 
     Count kinds run every block through one reused float64 buffer, so peak
-    memory is the int8 matrix plus about ``_BUFFER_BYTES``; by default their
-    block holds as many rows as fit that budget. ``standard-normal`` blocks
-    default to 2048 rows. The liability pass is one einsum over the raw
-    matrix: no float64 copy of it, and no BLAS, whose products round
-    differently at different thread counts.
+    memory is the planes (N * M / 4 bytes for ``binomial-2-p``, N * M / 8 for
+    ``rademacher``) plus about ``_BUFFER_BYTES``; by default their block holds
+    as many rows as fit that budget. ``standard-normal`` keeps its whole
+    float32 matrix (N * M * 4 bytes), in blocks of 2048 rows by default. The
+    liability pass runs one einsum per ``_LIABILITY_ROWS`` raw rows: no
+    float64 copy of them, and no BLAS, whose products round differently at
+    different thread counts. Each row's sum is the same whatever the block,
+    so the liabilities do not depend on it.
     """
     gen_geno = rs.spawn(_STREAM_GENOTYPES).generator
     if dist.kind == "standard-normal":
@@ -386,11 +425,11 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
             work = blk.astype(np.float64)
             col_sum += work.sum(axis=0)
             col_sumsq += np.einsum("ij,ij->j", work, work)
+        raw = GenotypeMatrix(a)
     else:
         block_rows = block_rows or max(1, _BUFFER_BYTES // (8 * n_loci))
-        a = np.empty((n_population, n_loci), dtype=np.int8)
-        col_sum, col_sumsq = _draw_count_population(
-            dist, a, gen_geno, min(block_rows, n_population))
+        raw, col_sum, col_sumsq = _draw_count_population(
+            dist, n_population, n_loci, gen_geno, min(block_rows, n_population))
     means = col_sum / n_population
     variances = col_sumsq / n_population - means * means
     zero = np.flatnonzero(variances <= 0.0)
@@ -402,11 +441,14 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     u = gen_fx.standard_normal(n_loci) * math.sqrt(lp.heritability / n_loci)
     e = gen_fx.standard_normal(n_population) * math.sqrt(1.0 - lp.heritability)
     v = u / sds
-    liabilities = np.einsum("ij,j->i", a, v)
+    liabilities = np.empty(n_population)
+    for lo in range(0, n_population, _LIABILITY_ROWS):
+        hi = min(lo + _LIABILITY_ROWS, n_population)
+        np.einsum("ij,j->i", raw.rows(slice(lo, hi)), v, out=liabilities[lo:hi])
     liabilities -= np.einsum("j,j->", means, v)
     liabilities += e
     y = liabilities > design.threshold
-    return a, liabilities, y
+    return raw, liabilities, y
 
 
 @dataclass(frozen=True)
@@ -448,10 +490,11 @@ def ascertain(y: np.ndarray, design: StudyDesign, rs: RandomSource) -> Ascertain
 
 
 def attach_study_genotypes(sample: AscertainedSample,
-                           raw: GenotypeMatrix | np.ndarray) -> AscertainedSample:
+                           raw: GenotypeMatrix | PackedGenotypes | np.ndarray
+                           ) -> AscertainedSample:
     """Return the sample with genotypes standardized over the study rows."""
-    values = raw.values if isinstance(raw, GenotypeMatrix) else raw
-    z_study = standardize(values[sample.indices])
+    rows = raw[sample.indices] if isinstance(raw, np.ndarray) else raw.rows(sample.indices)
+    z_study = standardize(rows)
     return AscertainedSample(
         indices=sample.indices,
         y=sample.y,
@@ -552,7 +595,7 @@ def save_dataset(path: str | Path, data: StudyData) -> None:
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
         for arr in arrays.values():
-            fh.write(arr.tobytes())
+            fh.write(arr.data)  # the array's own buffer: no copy of z
 
 
 def load_dataset(path: str | Path) -> StudyData:

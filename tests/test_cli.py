@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from heritcc import cli
 from heritcc.cli import main
 
 
@@ -209,3 +210,23 @@ class TestOutputFiles:
                     "--methods", "first", "--out", str(bench_out))[0] == 0
         for path in (moments_out, bench_out):
             assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+class TestDefaultThreads:
+    def test_affinity_mask_not_host_cpu_count(self, monkeypatch):
+        # a process pinned to 2 of 64 CPUs gets 2 workers
+        monkeypatch.delenv("HERIT_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._default_threads() == 2
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("HERIT_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert cli._default_threads() == 6
+
+    def test_environment_wins(self, monkeypatch):
+        monkeypatch.setenv("HERIT_THREADS", "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._default_threads() == 3

@@ -12,6 +12,7 @@ from heritcc.estimators import (
     estimate_first_order,
     estimate_second_order,
     second_order_objective,
+    _moment_weights,
     _objective_coefficients,
     _pair_moment_pieces,
     _pair_sums,
@@ -48,6 +49,12 @@ def _sample_from_w(w):
 def _grm_from_matrix(mat, n_loci=100):
     mat = np.asarray(mat, dtype=np.float64)
     return GrmView(g=mat, n_individuals=mat.shape[0], n_loci=n_loci)
+
+
+def _random_z(n, n_loci, seed):
+    rs = rng_create(seed)
+    dist = make_distribution("standard-normal", n_loci, rs.spawn(0))
+    return standardize(sample_genotype_matrix(dist, n, n_loci, rs.spawn(1)))
 
 
 def _simulated_inputs(seed=1, heritability=0.5, k=0.1, n_loci=2000, target_cases=60,
@@ -174,6 +181,29 @@ class TestSecondOrderObjective:
             sp = sigma_pair(g, i, j)
             expected = second_order_pair_expectation(sp, design, eta, g.n_loci)
             assert eta * c1[i, j] + eta**2 * c2[i, j] == pytest.approx(expected, rel=1e-10)
+
+    def test_pieces_match_sigma_pair(self):
+        # the dense pieces are built from sigma_pair's scaled deviations of
+        # each pair, and are zero on the diagonal
+        g = grm_compute(_random_z(12, 30, 11))
+        alpha, beta, gamma, delta = _moment_weights(REFERENCE, g.n_loci)
+        c1, c2 = _pair_moment_pieces(g, REFERENCE, g.n_loci)
+        for i, j in [(3, 7), (0, 11), (11, 0)]:
+            sp = sigma_pair(g, i, j)
+            assert c1[i, j] / alpha == pytest.approx(sp.b_ij, abs=1e-14)
+            expected = (beta * (sp.a_i * sp.a_j) + gamma * sp.b_ij * sp.b_ij
+                        + delta * sp.b_ij * (sp.a_i + sp.a_j))
+            assert c2[i, j] == pytest.approx(expected, rel=1e-14)
+        assert not np.diag(c1).any() and not np.diag(c2).any()
+
+    def test_offdiag_scaled_deviation_sd_near_one(self):
+        # across pairs of one large simulated matrix the scaled off-diagonal
+        # spread is 1 up to o(1)
+        g = grm_compute(_random_z(200, 10_000, 12))
+        c1, _ = _pair_moment_pieces(g, REFERENCE, g.n_loci)
+        iu = np.triu_indices(200, k=1)
+        b = c1[iu] / _moment_weights(REFERENCE, g.n_loci)[0]
+        assert b.std() == pytest.approx(1.0, abs=0.1)
 
 
 class TestSecondOrderEstimator:

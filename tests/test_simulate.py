@@ -1,6 +1,7 @@
 """Tests for population simulation and case-control ascertainment."""
 
 import dataclasses
+import json
 import math
 import pickle
 import tracemalloc
@@ -203,7 +204,7 @@ class TestSimulatePopulation:
         )
         dense_rs = RandomSource(seed)
         a = sample_genotype_matrix(dist, 333, 64, dense_rs.spawn(0))
-        assert np.array_equal(a.values, raw)
+        assert np.array_equal(a.values, raw.rows(np.arange(333)))
         liab_dense, y_dense = simulate_population(
             standardize(a), lp, design, dense_rs.spawn(1)
         )
@@ -230,9 +231,10 @@ class TestSimulatePopulation:
         dist = make_distribution(kind, 48, RandomSource(31).spawn(3))
         runs = [population_sample(dist, 301, 48, lp, design, RandomSource(31), block_rows=b)
                 for b in (None, 1, 16, 64, 301, 4096)]
+        every_row = np.arange(301)
         raw, liab, y = runs[0]
         for raw_b, liab_b, y_b in runs[1:]:
-            assert np.array_equal(raw_b, raw)
+            assert np.array_equal(raw_b.rows(every_row), raw.rows(every_row))
             assert np.array_equal(y_b, y)
             if kind == "standard-normal":
                 np.testing.assert_allclose(liab_b, liab, atol=1e-12)
@@ -240,17 +242,37 @@ class TestSimulatePopulation:
                 assert np.array_equal(liab_b, liab)
         dense_rs = RandomSource(31)
         a = sample_genotype_matrix(dist, 301, 48, dense_rs.spawn(0))
-        assert a.values.dtype == raw.dtype
-        assert np.array_equal(a.values, raw)
+        assert a.values.dtype == raw.rows(every_row).dtype
+        assert np.array_equal(a.values, raw.rows(every_row))
         liab_dense, y_dense = simulate_population(standardize(a), lp, design, dense_rs.spawn(1))
         np.testing.assert_allclose(liab, liab_dense, atol=1e-9)
         assert np.array_equal(y, y_dense)
 
+    @pytest.mark.parametrize("kind", ["binomial-2-p", "rademacher", "standard-normal"])
+    @pytest.mark.parametrize("n_loci", [48, 1003])
+    def test_rows_are_the_dense_rows(self, kind, n_loci):
+        # M = 1003 leaves 5 pad bits in each packed row; the first and last
+        # rows, unsorted and repeated indices and slices all read the dense
+        # route's values
+        n = 301
+        dist = make_distribution(kind, n_loci, RandomSource(41).spawn(3))
+        raw, _, _ = population_sample(dist, n, n_loci, LiabilityParams(0.5),
+                                      design_from_prevalences(0.1, 0.5), RandomSource(41),
+                                      block_rows=37)
+        dense = sample_genotype_matrix(dist, n, n_loci, RandomSource(41).spawn(0)).values
+        for indices in (np.array([0]), np.array([n - 1]), np.array([n - 1, 5, 0, 200, 5]),
+                        np.arange(n), slice(0, 1), slice(290, n), np.array([], dtype=np.int64)):
+            got = raw.rows(indices)
+            assert got.dtype == dense.dtype and got.flags.c_contiguous
+            assert np.array_equal(got, dense[indices])
+
     @pytest.mark.parametrize("kind", ["binomial-2-p", "rademacher"])
-    def test_count_kinds_peak_memory_is_the_int8_matrix(self, kind):
-        # blocks go through reused buffers: the peak is the N x M int8 matrix
-        # plus a few MB, not float64 copies of whole blocks on top of it
+    def test_count_kinds_peak_memory_is_the_bit_planes(self, kind):
+        # blocks go through reused buffers: the peak is the N x M / 8 bytes
+        # of each bit plane plus a few MB, not an int8 matrix or float64
+        # copies of whole blocks
         n, m = 20_000, 1_000
+        planes = 2 if kind == "binomial-2-p" else 1
         dist = make_distribution(kind, m, RandomSource(5).spawn(3))
         lp = LiabilityParams(0.5)
         design = design_from_prevalences(0.1, 0.5)
@@ -260,8 +282,8 @@ class TestSimulatePopulation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert raw.nbytes == n * m
-        assert peak <= n * m + 8e6
+        assert raw.planes.nbytes == planes * n * m // 8
+        assert peak <= planes * n * m / 8 + 8e6
 
 
 class TestAscertain:
@@ -392,6 +414,29 @@ class TestDatasetContainer:
         assert loaded.design == study.design
         assert loaded.n_loci == study.n_loci
         assert loaded.seed == study.seed
+
+    def test_bytes_are_the_arrays_written_without_a_copy(self, tmp_path):
+        # magic, header length, JSON header, then each array's bytes in
+        # header order; saving holds no copy of z
+        study = simulate_case_control_study(0.5, 0.1, 0.5, 2000, 150, seed=12)
+        sample = study.sample
+        path = tmp_path / "study.hccd"
+        tracemalloc.start()
+        try:
+            save_dataset(path, study)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = path.read_bytes()
+        header_end = 12 + int.from_bytes(data[4:12], "little")
+        arrays = {"z": sample.z_study.z, "col_means": sample.z_study.col_means,
+                  "col_sds": sample.z_study.col_sds, "w": sample.w,
+                  "y": sample.y.astype(np.uint8), "indices": sample.indices.astype(np.int64)}
+        header = json.loads(data[12:header_end])
+        assert data[:4] == b"HCCD"
+        assert [spec["name"] for spec in header["arrays"]] == list(arrays)
+        assert data[header_end:] == b"".join(a.tobytes() for a in arrays.values())
+        assert peak < sample.z_study.z.nbytes / 10
 
     def test_identical_bytes_for_identical_study(self, tmp_path):
         study = simulate_case_control_study(
