@@ -78,69 +78,33 @@ def _atomic_produce(path: Path, producer) -> None:
         raise
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for raw_line in Path(path).read_text().splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"config line {raw_line!r} is not key=value")
-        values[key.strip()] = value.strip()
-    return values
-
-
 def _print_config(name: str, resolved: dict) -> None:
     print(f"[{name}] resolved configuration:")
     for key in sorted(resolved):
         print(f"  {key} = {resolved[key]}")
 
 
-# config-file key -> (namespace attribute, type)
-_EXPERIMENT_CONFIG_SPEC: dict[str, tuple[str, type]] = {
-    "eta": ("eta", float),
-    "K": ("population_prevalence", float),
-    "P": ("study_prevalence", float),
-    "n-loci": ("n_loci", int),
-    "target-cases": ("target_cases", int),
-    "replications": ("replications", int),
-    "seed": ("seed", int),
-    "methods": ("methods", str),
-    "genotype-kind": ("genotype_kind", str),
-    "threads": ("threads", int),
-}
-
-_EXPERIMENT_FLAG_DESTS = {
-    "--eta": "eta", "--K": "population_prevalence", "--P": "study_prevalence",
-    "--n-loci": "n_loci", "--target-cases": "target_cases",
-    "--replications": "replications", "--seed": "seed", "--methods": "methods",
-    "--genotype-kind": "genotype_kind", "--threads": "threads",
-}
+# Keys of an experiment config file; the line key=value is read as the flag
+# --key=value.
+_EXPERIMENT_CONFIG_KEYS = ("eta", "K", "P", "n-loci", "target-cases", "replications",
+                           "seed", "methods", "genotype-kind", "threads")
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  argv: list[str]) -> None:
-    """Fill experiment settings from a key=value config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    file_values = _load_config_file(args.config)
-    unknown = set(file_values) - set(_EXPERIMENT_CONFIG_SPEC)
-    if unknown:
-        parser.error(f"unknown config keys: {sorted(unknown)}")
-    explicit = {
-        _EXPERIMENT_FLAG_DESTS[token.split("=", 1)[0]]
-        for token in argv
-        if token.split("=", 1)[0] in _EXPERIMENT_FLAG_DESTS
-    }
-    for key, value in file_values.items():
-        attr, caster = _EXPERIMENT_CONFIG_SPEC[key]
-        if attr in explicit:
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The lines of a key=value config file (``#`` comments allowed) as
+    ``--key=value`` flags."""
+    flags = []
+    for raw_line in Path(path).read_text().splitlines():
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
             continue
-        try:
-            setattr(args, attr, caster(value))
-        except ValueError:
-            parser.error(f"config key {key}: cannot parse {value!r} as {caster.__name__}")
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ValueError(f"{path}: config line {raw_line!r} is not key=value")
+        if key not in _EXPERIMENT_CONFIG_KEYS:
+            parser.error(f"{path}: unknown config key {key!r}")
+        flags.append(f"--{key}={value}")
+    return flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -342,9 +306,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                    argv: list[str]) -> int:
-    _merge_config(args, parser, argv)
+def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     threads = args.threads if args.threads else _default_threads()
     try:
@@ -424,9 +386,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        if getattr(args, "config", None):
+            # the file's flags go right after the subcommand, so that the
+            # command line's own flags, parsed later, win
+            at = argv.index(args.subcommand) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config, parser) + argv[at:])
         if args.subcommand == "simulate":
             return _cmd_simulate(args, parser)
         if args.subcommand == "grm":
@@ -436,13 +400,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "estimate":
             return _cmd_estimate(args)
         if args.subcommand == "experiment":
-            return _cmd_experiment(args, parser, argv)
+            return _cmd_experiment(args, parser)
         if args.subcommand == "bench":
             return _cmd_bench(args)
         if args.subcommand == "consistency":
             return _cmd_consistency(args, parser)
         raise AssertionError("unreachable")  # pragma: no cover
-    except SystemExit as exc:  # parser.error inside a subcommand
+    except SystemExit as exc:  # usage errors, --version
         return int(exc.code or 0)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

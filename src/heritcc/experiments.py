@@ -135,7 +135,6 @@ class ReplicationRecord:
     realized_n: int
     realized_cases: int
     eta_hat: dict[str, float]
-    wall_time: dict[str, float]
     en_holds: bool
     error: str | None = None
     # off-diagonal mean square of the relationship matrix; not written to
@@ -167,21 +166,16 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
         sample = study.sample
         g = grm_compute(sample.z_study)
         eta_hat: dict[str, float] = {}
-        wall: dict[str, float] = {}
         if "first" in cfg.methods:
-            rep = estimate_first_order(sample, g, study.design)
-            eta_hat["first"] = rep.eta_hat
-            wall["first"] = rep.wall_time
+            eta_hat["first"] = estimate_first_order(sample, g, study.design).eta_hat
         if "second" in cfg.methods:
-            rep = estimate_second_order(sample, g, study.design, cfg.n_loci)
-            eta_hat["second"] = rep.eta_hat
-            wall["second"] = rep.wall_time
+            eta_hat["second"] = estimate_second_order(sample, g, study.design,
+                                                      cfg.n_loci).eta_hat
         return ReplicationRecord(
             rep_index=rep_index,
             realized_n=int(sample.y.shape[0]),
             realized_cases=sample.n_cases,
             eta_hat=eta_hat,
-            wall_time=wall,
             en_holds=event_en_check(g, _EN_GAMMA).holds,
             mean_sq_offdiag=mean_square_offdiagonal(g),
         )
@@ -191,7 +185,6 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
             realized_n=0,
             realized_cases=0,
             eta_hat={},
-            wall_time={},
             en_holds=False,
             error=f"{type(exc).__name__}: {exc}",
         )
@@ -308,11 +301,11 @@ def run_timing(n_values: list[int], n_loci_values: list[int],
             raw, sample = _timing_inputs(n, n_loci, study_prevalence, seed)
             times = {method: [] for method in methods}
             for method in methods:
-                _run_estimation(raw.values, sample, design, n_loci, method)  # warm-up
+                _run_estimation(raw, sample, design, n_loci, method)  # warm-up
             for _ in range(repeats):
                 for method in methods:
                     t0 = time.perf_counter()
-                    _run_estimation(raw.values, sample, design, n_loci, method)
+                    _run_estimation(raw, sample, design, n_loci, method)
                     times[method].append(time.perf_counter() - t0)
             rows.extend(TimingRow(n, n_loci, method, statistics.median(times[method]))
                         for method in methods)
@@ -418,7 +411,6 @@ def read_records_csv(path: str | Path) -> tuple[dict, list[ReplicationRecord]]:
         parts = line.split(",")
         row = dict(zip(header, parts))
         eta_hat = {}
-        wall: dict[str, float] = {}
         for col, value in row.items():
             if col.startswith("eta_hat_") and value:
                 eta_hat[col.removeprefix("eta_hat_")] = float(value)
@@ -427,7 +419,6 @@ def read_records_csv(path: str | Path) -> tuple[dict, list[ReplicationRecord]]:
             realized_n=int(row["realized_n"]),
             realized_cases=int(row["realized_cases"]),
             eta_hat=eta_hat,
-            wall_time=wall,
             en_holds=row["en_holds"] == "1",
             error=row["error"] or None,
         ))

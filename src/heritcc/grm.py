@@ -221,8 +221,7 @@ def z_property_suite(dist: GenotypeDistribution, n: int, n_loci: int,
     max_col_sum = 0.0
     max_sumsq_dev = 0.0
     for rep in range(reps):
-        a = sample_genotype_matrix(dist, n, n_loci, rs.spawn(rep))
-        values = a.values.astype(np.float64)
+        values = sample_genotype_matrix(dist, n, n_loci, rs.spawn(rep)).astype(np.float64)
         keep = values.std(axis=0) > 0.0
         z = standardize(values[:, keep]).z
         max_col_sum = max(max_col_sum, float(np.abs(z.sum(axis=0)).max()))

@@ -22,7 +22,6 @@ import numpy as np
 from .numerics import RandomSource, std_normal_quantile
 
 __all__ = [
-    "GenotypeMatrix",
     "PackedGenotypes",
     "GenotypeDistribution",
     "StandardizedGenotypes",
@@ -52,10 +51,9 @@ _STREAM_EFFECTS = 1
 _STREAM_SELECTION = 2
 _STREAM_FREQS = 3
 
-_BLOCK_ROWS = 2048
-# Count kinds draw each block of rows into one reused float64 buffer of this
-# size, so the draw adds this much memory to the population's bit planes
-# whatever the population size.
+# Every kind draws each block of rows into one reused float64 buffer of this
+# size, as standardize reduces its rows, so the draw adds this much memory to
+# the raw population whatever the population size.
 _BUFFER_BYTES = 1 << 22
 # Rows per einsum of the liability pass; count kinds unpack this many rows of
 # their bit planes at a time.
@@ -103,29 +101,6 @@ def make_distribution(kind: str, n_loci: int, rs: RandomSource,
     return GenotypeDistribution(kind)
 
 
-@dataclass(frozen=True)
-class GenotypeMatrix:
-    """Raw per-individual, per-locus values before standardization."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2:
-            raise ValueError("genotype matrix must be 2-d")
-
-    @property
-    def n_individuals(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def n_loci(self) -> int:
-        return int(self.values.shape[1])
-
-    def rows(self, indices) -> np.ndarray:
-        """The values of rows ``indices`` (an index array or a slice)."""
-        return self.values[indices]
-
-
 @dataclass(frozen=True, eq=False)
 class PackedGenotypes:
     """Count-kind genotypes as bit planes packed along the loci axis.
@@ -134,14 +109,15 @@ class PackedGenotypes:
     k-th threshold compare, each row padded to whole bytes. ``binomial-2-p``
     has two planes (count >= 1 and count >= 2) whose sum is the allele count:
     N * M / 4 bytes. ``rademacher`` has one (value +1), mapped to 2b - 1:
-    N * M / 8 bytes, against N * M for the int8 matrix they encode.
+    N * M / 8 bytes, against N * M for the int8 matrix they encode. Indexing
+    rows, ``raw[indices]``, reads them as the dense matrix would.
     """
 
     planes: np.ndarray
     kind: str
     n_loci: int
 
-    def rows(self, indices) -> np.ndarray:
+    def __getitem__(self, indices) -> np.ndarray:
         """The int8 genotypes of rows ``indices`` (an index array or a slice),
         as :func:`sample_genotype_matrix` draws them."""
         out = np.unpackbits(self.planes[0][indices], axis=1, count=self.n_loci).view(np.int8)
@@ -177,11 +153,12 @@ def _sample_rows(dist: GenotypeDistribution, n_rows: int, n_loci: int,
 
 
 def sample_genotype_matrix(dist: GenotypeDistribution, n_individuals: int,
-                           n_loci: int, rs: RandomSource) -> GenotypeMatrix:
-    """Draw a full genotype matrix with i.i.d. entries per column."""
+                           n_loci: int, rs: RandomSource) -> np.ndarray:
+    """Draw a full genotype matrix with i.i.d. entries per column: int8 for
+    the count kinds, float32 for ``standard-normal``."""
     if dist.kind == "binomial-2-p" and dist.n_loci != n_loci:
         raise ValueError(f"distribution has {dist.n_loci} loci, requested {n_loci}")
-    return GenotypeMatrix(_sample_rows(dist, n_individuals, n_loci, rs.generator))
+    return _sample_rows(dist, n_individuals, n_loci, rs.generator)
 
 
 def _padded_rows(n_rows: int, n_cols: int) -> np.ndarray:
@@ -190,6 +167,14 @@ def _padded_rows(n_rows: int, n_cols: int) -> np.ndarray:
     buf = np.empty((n_rows + -n_rows % 8, n_cols))
     buf[n_rows:] = 0.0
     return buf
+
+
+def _add_rows(total: np.ndarray, work: np.ndarray, n_rows: int) -> None:
+    """Add rows 1 to ``n_rows`` of ``work`` to ``total``, one row after the
+    other, as numpy's ``sum(axis=0)`` adds the rows of a row-major matrix.
+    Overwrites ``work[0]``, where the running sum enters the reduction."""
+    work[0] = total
+    np.add.reduce(work[:n_rows + 1], axis=0, out=total)
 
 
 @dataclass(frozen=True)
@@ -236,7 +221,7 @@ class StandardizedGenotypes:
         return int(self.z.shape[1])
 
 
-def standardize(a: GenotypeMatrix | np.ndarray) -> StandardizedGenotypes:
+def standardize(a: np.ndarray) -> StandardizedGenotypes:
     """Center and scale each column to empirical mean 0 and mean square 1.
 
     Works in row blocks of about ``_BUFFER_BYTES`` and writes the centered
@@ -249,7 +234,7 @@ def standardize(a: GenotypeMatrix | np.ndarray) -> StandardizedGenotypes:
         ValueError: naming the first offending column if any column has zero
             empirical variance.
     """
-    values = a.values if isinstance(a, GenotypeMatrix) else np.asarray(a)
+    values = np.asarray(a)
     n, n_loci = values.shape
     padded = _padded_rows(n, n_loci)
     z = padded[:n]
@@ -259,16 +244,14 @@ def standardize(a: GenotypeMatrix | np.ndarray) -> StandardizedGenotypes:
 
     means = np.zeros(n_loci)
     for lo, hi in blocks:
-        work[0] = means
         work[1:hi - lo + 1] = values[lo:hi]
-        np.add.reduce(work[:hi - lo + 1], axis=0, out=means)
+        _add_rows(means, work, hi - lo)
     means /= n
     sumsq = np.zeros(n_loci)
     for lo, hi in blocks:
         np.subtract(values[lo:hi], means, out=z[lo:hi])
-        work[0] = sumsq
         np.multiply(z[lo:hi], z[lo:hi], out=work[1:hi - lo + 1])
-        np.add.reduce(work[:hi - lo + 1], axis=0, out=sumsq)
+        _add_rows(sumsq, work, hi - lo)
     sds = np.sqrt(sumsq / n)
     zero = np.flatnonzero(sds == 0.0)
     if zero.size:
@@ -313,20 +296,17 @@ def design_from_prevalences(population_prevalence: float, study_prevalence: floa
 
 @dataclass(frozen=True)
 class LiabilityParams:
-    """Variance split of the latent liability: heritability and total variance.
+    """Variance split of the latent liability: the heritability.
 
     The total variance is fixed at 1; a different scale is absorbed into the
     threshold instead.
     """
 
     heritability: float
-    total_variance: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.heritability <= 1.0):
             raise ValueError(f"heritability must lie in [0, 1], got {self.heritability}")
-        if self.total_variance != 1.0:
-            raise ValueError("total liability variance is fixed at 1")
 
 
 def simulate_population(z: StandardizedGenotypes, lp: LiabilityParams,
@@ -346,90 +326,92 @@ def simulate_population(z: StandardizedGenotypes, lp: LiabilityParams,
     return liabilities, y
 
 
-def _draw_count_population(dist: GenotypeDistribution, n_population: int, n_loci: int,
-                           gen: np.random.Generator, block_rows: int
-                           ) -> tuple[PackedGenotypes, np.ndarray, np.ndarray]:
-    """Draw the population block by block into bit planes, through two reused
-    buffers.
+def _draw_population(dist: GenotypeDistribution, n_population: int, n_loci: int,
+                     gen: np.random.Generator
+                     ) -> tuple[np.ndarray | PackedGenotypes, np.ndarray, np.ndarray]:
+    """Draw the population block by block through one reused float64 buffer.
 
-    Entries match :func:`_sample_rows` exactly: the uniforms come from the
-    same row-major stream and go through the same threshold compares, whose
-    hits are packed into the planes. The column sums and sums of squares come
-    from integer counts of the compare hits, so they are exact.
+    Entries match :func:`_sample_rows` exactly: the uniforms or normals come
+    from the same row-major stream. Count kinds pack the hits of the same
+    threshold compares into bit planes, and take the column sums and sums of
+    squares from integer counts of the hits, so these are exact.
+    ``standard-normal`` keeps its float32 rows and adds their values and
+    squares to the column sums row by row, as the whole matrix's
+    ``sum(axis=0)`` would.
     """
-    if dist.kind == "binomial-2-p":
-        p = dist.allele_freqs
-        q0 = (1.0 - p) ** 2             # P(count = 0)
-        q01 = q0 + 2.0 * p * (1.0 - p)  # P(count <= 1)
-        compares = [(np.greater_equal, q0), (np.greater_equal, q01)]
+    block_rows = max(1, min(n_population, _BUFFER_BYTES // (8 * n_loci)))
+    buf = np.empty((block_rows + 1, n_loci))  # row 0: a running column sum
+    normal = dist.kind == "standard-normal"
+    if normal:
+        raw = np.empty((n_population, n_loci), dtype=np.float32)
+        col_sum, col_sumsq = np.zeros(n_loci), np.zeros(n_loci)
     else:
-        compares = [(np.less, 0.5)]
-    planes = np.empty((len(compares), n_population, -(-n_loci // 8)), dtype=np.uint8)
-    # binomial: columns of count >= 1 and >= 2; rademacher: columns of +1
-    hits = np.zeros((len(compares), n_loci), dtype=np.int64)
-    buf = np.empty((block_rows, n_loci))
-    hit = np.empty((block_rows, n_loci), dtype=bool)
+        if dist.kind == "binomial-2-p":
+            p = dist.allele_freqs
+            q0 = (1.0 - p) ** 2             # P(count = 0)
+            q01 = q0 + 2.0 * p * (1.0 - p)  # P(count <= 1)
+            compares = [(np.greater_equal, q0), (np.greater_equal, q01)]
+        else:
+            compares = [(np.less, 0.5)]
+        raw = PackedGenotypes(
+            np.empty((len(compares), n_population, -(-n_loci // 8)), dtype=np.uint8),
+            dist.kind, n_loci)
+        # binomial: columns of count >= 1 and >= 2; rademacher: columns of +1
+        hits = np.zeros((len(compares), n_loci), dtype=np.int64)
+        hit = np.empty((block_rows, n_loci), dtype=bool)
     for lo in range(0, n_population, block_rows):
         hi = min(lo + block_rows, n_population)
-        u, h = buf[:hi - lo], hit[:hi - lo]
-        gen.random(out=u)
-        for k, (compare, threshold) in enumerate(compares):
-            compare(u, threshold, out=h)
-            planes[k, lo:hi] = np.packbits(h, axis=1)
-            hits[k] += h.sum(axis=0)
+        x = buf[1:hi - lo + 1]
+        if normal:
+            gen.standard_normal(out=x)
+            raw[lo:hi] = x
+            x[...] = raw[lo:hi]  # the float32 values, back in float64
+            _add_rows(col_sum, buf, hi - lo)
+            np.multiply(x, x, out=x)
+            _add_rows(col_sumsq, buf, hi - lo)
+        else:
+            gen.random(out=x)
+            h = hit[:hi - lo]
+            for k, (compare, threshold) in enumerate(compares):
+                compare(x, threshold, out=h)
+                raw.planes[k, lo:hi] = np.packbits(h, axis=1)
+                hits[k] += h.sum(axis=0)
+    if normal:
+        return raw, col_sum, col_sumsq
     if dist.kind == "binomial-2-p":
         col_sum = hits[0] + hits[1]
         col_sumsq = hits[0] + 3 * hits[1]
     else:
         col_sum = 2 * hits[0] - n_population
         col_sumsq = np.full(n_loci, n_population)
-    packed = PackedGenotypes(planes, dist.kind, n_loci)
-    return packed, col_sum.astype(np.float64), col_sumsq.astype(np.float64)
+    return raw, col_sum.astype(np.float64), col_sumsq.astype(np.float64)
 
 
 def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int,
-                      lp: LiabilityParams, design: StudyDesign, rs: RandomSource,
-                      block_rows: int | None = None
-                      ) -> tuple[GenotypeMatrix | PackedGenotypes, np.ndarray, np.ndarray]:
+                      lp: LiabilityParams, design: StudyDesign, rs: RandomSource
+                      ) -> tuple[np.ndarray | PackedGenotypes, np.ndarray, np.ndarray]:
     """Blocked equivalent of sampling genotypes, standardizing, and running
     :func:`simulate_population`, without materializing the standardized matrix.
 
     Returns ``(raw_genotypes, liabilities, phenotypes)``. Count kinds keep the
     raw genotypes as :class:`PackedGenotypes` bit planes, ``standard-normal``
-    as a float32 :class:`GenotypeMatrix`; callers take study rows out of
-    either with ``rows(indices)``. Those rows are the bits the dense route
-    draws, because the genotype stream is consumed in the same row-major
-    order regardless of block size, and the liabilities match it to float
-    rounding.
+    as a float32 matrix; callers take study rows out of either with
+    ``raw[indices]``. Those rows are the bits the dense route draws, because
+    the genotype stream is consumed in the same row-major order regardless of
+    block size, and the liabilities match it to float rounding.
 
-    Count kinds run every block through one reused float64 buffer, so peak
-    memory is the planes (N * M / 4 bytes for ``binomial-2-p``, N * M / 8 for
-    ``rademacher``) plus about ``_BUFFER_BYTES``; by default their block holds
-    as many rows as fit that budget. ``standard-normal`` keeps its whole
-    float32 matrix (N * M * 4 bytes), in blocks of 2048 rows by default. The
-    liability pass runs one einsum per ``_LIABILITY_ROWS`` raw rows: no
-    float64 copy of them, and no BLAS, whose products round differently at
-    different thread counts. Each row's sum is the same whatever the block,
-    so the liabilities do not depend on it.
+    Every kind runs its blocks through one reused float64 buffer of about
+    ``_BUFFER_BYTES``, so peak memory is the raw population (N * M / 4 bytes
+    for ``binomial-2-p``, N * M / 8 for ``rademacher``, N * M * 4 for
+    ``standard-normal``) plus a few MB. The column sums add rows in order
+    whatever the block height. The liability pass runs one einsum per
+    ``_LIABILITY_ROWS`` raw rows: no float64 copy of them, and no BLAS, whose
+    products round differently at different thread counts. Each row's sum is
+    the same whatever the block, so the liabilities do not depend on the
+    block height.
     """
-    gen_geno = rs.spawn(_STREAM_GENOTYPES).generator
-    if dist.kind == "standard-normal":
-        block_rows = block_rows or _BLOCK_ROWS
-        a = np.empty((n_population, n_loci), dtype=np.float32)
-        col_sum = np.zeros(n_loci)
-        col_sumsq = np.zeros(n_loci)
-        for lo in range(0, n_population, block_rows):
-            hi = min(lo + block_rows, n_population)
-            blk = _sample_rows(dist, hi - lo, n_loci, gen_geno)
-            a[lo:hi] = blk
-            work = blk.astype(np.float64)
-            col_sum += work.sum(axis=0)
-            col_sumsq += np.einsum("ij,ij->j", work, work)
-        raw = GenotypeMatrix(a)
-    else:
-        block_rows = block_rows or max(1, _BUFFER_BYTES // (8 * n_loci))
-        raw, col_sum, col_sumsq = _draw_count_population(
-            dist, n_population, n_loci, gen_geno, min(block_rows, n_population))
+    raw, col_sum, col_sumsq = _draw_population(
+        dist, n_population, n_loci, rs.spawn(_STREAM_GENOTYPES).generator)
     means = col_sum / n_population
     variances = col_sumsq / n_population - means * means
     zero = np.flatnonzero(variances <= 0.0)
@@ -444,7 +426,7 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     liabilities = np.empty(n_population)
     for lo in range(0, n_population, _LIABILITY_ROWS):
         hi = min(lo + _LIABILITY_ROWS, n_population)
-        np.einsum("ij,j->i", raw.rows(slice(lo, hi)), v, out=liabilities[lo:hi])
+        np.einsum("ij,j->i", raw[lo:hi], v, out=liabilities[lo:hi])
     liabilities -= np.einsum("j,j->", means, v)
     liabilities += e
     y = liabilities > design.threshold
@@ -489,12 +471,10 @@ def ascertain(y: np.ndarray, design: StudyDesign, rs: RandomSource) -> Ascertain
     )
 
 
-def attach_study_genotypes(sample: AscertainedSample,
-                           raw: GenotypeMatrix | PackedGenotypes | np.ndarray
+def attach_study_genotypes(sample: AscertainedSample, raw: np.ndarray | PackedGenotypes
                            ) -> AscertainedSample:
     """Return the sample with genotypes standardized over the study rows."""
-    rows = raw[sample.indices] if isinstance(raw, np.ndarray) else raw.rows(sample.indices)
-    z_study = standardize(rows)
+    z_study = standardize(raw[sample.indices])
     return AscertainedSample(
         indices=sample.indices,
         y=sample.y,
@@ -521,8 +501,7 @@ class StudyData:
 def simulate_case_control_study(heritability: float, population_prevalence: float,
                                 study_prevalence: float, n_loci: int,
                                 target_cases: int, seed: int,
-                                genotype_kind: str = "binomial-2-p",
-                                block_rows: int | None = None) -> StudyData:
+                                genotype_kind: str = "binomial-2-p") -> StudyData:
     """Run the full generative protocol for one study.
 
     The population size is ceil(target_cases / population_prevalence) so the
@@ -536,8 +515,7 @@ def simulate_case_control_study(heritability: float, population_prevalence: floa
     rs = RandomSource(seed)
     dist = make_distribution(genotype_kind, n_loci, rs.spawn(_STREAM_FREQS))
     n_population = math.ceil(target_cases / population_prevalence)
-    raw, _, y = population_sample(dist, n_population, n_loci, lp, design, rs,
-                                  block_rows=block_rows)
+    raw, _, y = population_sample(dist, n_population, n_loci, lp, design, rs)
     sample = ascertain(y, design, rs.spawn(_STREAM_SELECTION))
     sample = attach_study_genotypes(sample, raw)
     return StudyData(

@@ -3,10 +3,13 @@
 import json
 import os
 import stat
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import heritcc
 from heritcc import cli
 from heritcc.cli import main
 
@@ -172,6 +175,34 @@ class TestExperimentCommand:
         )
         assert code == 2
 
+    def test_config_file_missing_exits_1_naming_path(self, capsys, tmp_path):
+        code, _, err = _run(
+            capsys, "experiment", "--config", str(tmp_path / "missing.cfg"),
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "missing.cfg" in err and "Traceback" not in err
+
+    def test_config_file_malformed_line_exits_1(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("eta=0.4\nno equals sign here\n")
+        code, _, err = _run(
+            capsys, "experiment", "--config", str(config),
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "no equals sign here" in err
+
+    def test_config_file_unparsable_value_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("K=abc\n")
+        code, _, err = _run(
+            capsys, "experiment", "--config", str(config),
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "abc" in err
+
 
 class TestBench:
     def test_tiny_grid(self, capsys, tmp_path):
@@ -210,6 +241,16 @@ class TestOutputFiles:
                     "--methods", "first", "--out", str(bench_out))[0] == 0
         for path in (moments_out, bench_out):
             assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+class TestModuleEntryPoint:
+    def test_python_m_heritcc_version(self):
+        # the package runs as ``python -m heritcc`` without an installed script
+        env = dict(os.environ, PYTHONPATH=str(Path(heritcc.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "heritcc", "--version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == heritcc.__version__
 
 
 class TestDefaultThreads:

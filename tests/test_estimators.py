@@ -339,7 +339,7 @@ def _study_of_size(n, kind, n_loci=300):
     # exactly n individuals; columns that come out constant are dropped
     rs = rng_create(n)
     dist = make_distribution(kind, n_loci, rs.spawn(0))
-    x = sample_genotype_matrix(dist, n, n_loci, rs.spawn(1)).values.astype(np.float64)
+    x = sample_genotype_matrix(dist, n, n_loci, rs.spawn(1)).astype(np.float64)
     g = grm_compute(standardize(x[:, x.std(axis=0) > 0.0]))
     w = np.random.default_rng(n).normal(size=n)
     return _sample_from_w(w), g

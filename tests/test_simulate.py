@@ -15,7 +15,6 @@ from heritcc import simulate as simulate_module
 from heritcc.numerics import RandomSource, rng_create
 from heritcc.simulate import (
     AscertainedSample,
-    GenotypeMatrix,
     LiabilityParams,
     StandardizedGenotypes,
     StudyData,
@@ -53,7 +52,7 @@ class TestStandardize:
         dist = make_distribution("binomial-2-p", 50, rs.spawn(0))
         a = sample_genotype_matrix(dist, 200, 50, rs.spawn(1))
         z = standardize(a)
-        n = a.n_individuals
+        n = a.shape[0]
         assert np.abs(z.z.sum(axis=0)).max() <= 1e-10 * n
         assert np.abs((z.z**2).sum(axis=0) - n).max() <= 1e-8 * n
 
@@ -78,8 +77,13 @@ def _study_rows(kind, n, n_loci, seed):
     # (int8 or float32); constant columns dropped
     rs = rng_create(seed)
     dist = make_distribution(kind, n_loci, rs.spawn(0))
-    values = sample_genotype_matrix(dist, n, n_loci, rs.spawn(1)).values
+    values = sample_genotype_matrix(dist, n, n_loci, rs.spawn(1))
     return np.ascontiguousarray(values[:, values.std(axis=0) > 0.0])
+
+
+def _block_rows(monkeypatch, rows, n_loci):
+    # a buffer budget of ``rows`` rows of ``n_loci`` float64 values
+    monkeypatch.setattr(simulate_module, "_BUFFER_BYTES", rows * 8 * n_loci)
 
 
 class TestStandardizeRowBlocks:
@@ -89,7 +93,7 @@ class TestStandardizeRowBlocks:
     def test_same_bits_as_whole_matrix_formulas(self, monkeypatch, kind, n, block_rows):
         values = _study_rows(kind, n, 40, n)
         if block_rows is not None:
-            monkeypatch.setattr(simulate_module, "_BUFFER_BYTES", block_rows * 8 * values.shape[1])
+            _block_rows(monkeypatch, block_rows, values.shape[1])
         z = standardize(values)
         for got, want in zip((z.z, z.col_means, z.col_sds), _dense_standardize(values)):
             assert np.array_equal(got, want)
@@ -192,77 +196,93 @@ class TestSimulatePopulation:
         assert y.mean() == pytest.approx(k, abs=0.001)
         assert liab.var() == pytest.approx(1.0, abs=0.01)
 
-    def test_blocked_path_matches_dense_route(self):
+    def test_blocked_path_matches_dense_route(self, monkeypatch):
         # same substreams => identical draws; only float association differs
         lp = LiabilityParams(0.5)
         design = design_from_prevalences(0.1, 0.5)
         seed = 424242
         rs = RandomSource(seed)
         dist = make_distribution("binomial-2-p", 64, rs.spawn(3))
-        raw, liab_blocked, y_blocked = population_sample(
-            dist, 333, 64, lp, design, rs, block_rows=50
-        )
+        _block_rows(monkeypatch, 50, 64)
+        raw, liab_blocked, y_blocked = population_sample(dist, 333, 64, lp, design, rs)
         dense_rs = RandomSource(seed)
         a = sample_genotype_matrix(dist, 333, 64, dense_rs.spawn(0))
-        assert np.array_equal(a.values, raw.rows(np.arange(333)))
+        assert np.array_equal(a, raw[np.arange(333)])
         liab_dense, y_dense = simulate_population(
             standardize(a), lp, design, dense_rs.spawn(1)
         )
         np.testing.assert_allclose(liab_blocked, liab_dense, atol=1e-9)
         assert np.array_equal(y_blocked, y_dense)
 
-    def test_block_size_does_not_change_results(self):
+    def test_block_size_does_not_change_results(self, monkeypatch):
         lp = LiabilityParams(0.5)
         design = design_from_prevalences(0.1, 0.5)
-        rs1, rs2 = RandomSource(7), RandomSource(7)
         dist = make_distribution("binomial-2-p", 32, RandomSource(7).spawn(3))
-        _, l1, _ = population_sample(dist, 200, 32, lp, design, rs1, block_rows=17)
-        _, l2, _ = population_sample(dist, 200, 32, lp, design, rs2, block_rows=200)
-        np.testing.assert_allclose(l1, l2, atol=1e-12)
+        _block_rows(monkeypatch, 17, 32)
+        _, l1, _ = population_sample(dist, 200, 32, lp, design, RandomSource(7))
+        _block_rows(monkeypatch, 200, 32)
+        _, l2, _ = population_sample(dist, 200, 32, lp, design, RandomSource(7))
+        assert np.array_equal(l1, l2)
 
     @pytest.mark.parametrize("kind", ["binomial-2-p", "rademacher", "standard-normal"])
-    def test_every_kind_exact_across_block_sizes_and_dense_route(self, kind):
-        # genotypes and phenotypes are the same bits whatever the block size
-        # (None is the default) and match the dense route; liabilities are the
-        # same bits too for count kinds, whose column sums are exact counts,
-        # and agree to float rounding otherwise
+    def test_every_kind_exact_across_block_sizes_and_dense_route(self, monkeypatch, kind):
+        # genotypes, liabilities and phenotypes are the same bits whatever
+        # the block height (None is the default budget) and the genotypes
+        # match the dense route
         lp = LiabilityParams(0.5)
         design = design_from_prevalences(0.1, 0.5)
         dist = make_distribution(kind, 48, RandomSource(31).spawn(3))
-        runs = [population_sample(dist, 301, 48, lp, design, RandomSource(31), block_rows=b)
-                for b in (None, 1, 16, 64, 301, 4096)]
+        runs = []
+        for rows in (None, 1, 16, 64, 301, 4096):
+            if rows is not None:
+                _block_rows(monkeypatch, rows, 48)
+            runs.append(population_sample(dist, 301, 48, lp, design, RandomSource(31)))
         every_row = np.arange(301)
         raw, liab, y = runs[0]
         for raw_b, liab_b, y_b in runs[1:]:
-            assert np.array_equal(raw_b.rows(every_row), raw.rows(every_row))
+            assert np.array_equal(raw_b[every_row], raw[every_row])
+            assert np.array_equal(liab_b, liab)
             assert np.array_equal(y_b, y)
-            if kind == "standard-normal":
-                np.testing.assert_allclose(liab_b, liab, atol=1e-12)
-            else:
-                assert np.array_equal(liab_b, liab)
         dense_rs = RandomSource(31)
         a = sample_genotype_matrix(dist, 301, 48, dense_rs.spawn(0))
-        assert a.values.dtype == raw.rows(every_row).dtype
-        assert np.array_equal(a.values, raw.rows(every_row))
+        assert a.dtype == raw[every_row].dtype
+        assert np.array_equal(a, raw[every_row])
         liab_dense, y_dense = simulate_population(standardize(a), lp, design, dense_rs.spawn(1))
         np.testing.assert_allclose(liab, liab_dense, atol=1e-9)
         assert np.array_equal(y, y_dense)
 
+    def test_standard_normal_liabilities_from_whole_matrix_sums(self):
+        # the column sums add the float32 rows in order, as sum(axis=0) of
+        # the whole matrix does, however many blocks the draw takes
+        n, m, h = 3001, 1003, 0.5
+        dist = make_distribution("standard-normal", m, RandomSource(17).spawn(3))
+        raw, liab, _ = population_sample(dist, n, m, LiabilityParams(h),
+                                         design_from_prevalences(0.1, 0.5), RandomSource(17))
+        a = sample_genotype_matrix(dist, n, m, RandomSource(17).spawn(0))
+        assert np.array_equal(raw, a)
+        x = a.astype(np.float64)
+        means = x.sum(axis=0) / n
+        sds = np.sqrt((x * x).sum(axis=0) / n - means * means)
+        gen = RandomSource(17).spawn(1).generator
+        v = gen.standard_normal(m) * math.sqrt(h / m) / sds
+        e = gen.standard_normal(n) * math.sqrt(1.0 - h)
+        assert np.array_equal(liab, np.einsum("ij,j->i", a, v) - np.einsum("j,j->", means, v) + e)
+
     @pytest.mark.parametrize("kind", ["binomial-2-p", "rademacher", "standard-normal"])
     @pytest.mark.parametrize("n_loci", [48, 1003])
-    def test_rows_are_the_dense_rows(self, kind, n_loci):
+    def test_rows_are_the_dense_rows(self, monkeypatch, kind, n_loci):
         # M = 1003 leaves 5 pad bits in each packed row; the first and last
         # rows, unsorted and repeated indices and slices all read the dense
         # route's values
         n = 301
         dist = make_distribution(kind, n_loci, RandomSource(41).spawn(3))
+        _block_rows(monkeypatch, 37, n_loci)
         raw, _, _ = population_sample(dist, n, n_loci, LiabilityParams(0.5),
-                                      design_from_prevalences(0.1, 0.5), RandomSource(41),
-                                      block_rows=37)
-        dense = sample_genotype_matrix(dist, n, n_loci, RandomSource(41).spawn(0)).values
+                                      design_from_prevalences(0.1, 0.5), RandomSource(41))
+        dense = sample_genotype_matrix(dist, n, n_loci, RandomSource(41).spawn(0))
         for indices in (np.array([0]), np.array([n - 1]), np.array([n - 1, 5, 0, 200, 5]),
                         np.arange(n), slice(0, 1), slice(290, n), np.array([], dtype=np.int64)):
-            got = raw.rows(indices)
+            got = raw[indices]
             assert got.dtype == dense.dtype and got.flags.c_contiguous
             assert np.array_equal(got, dense[indices])
 
@@ -284,6 +304,21 @@ class TestSimulatePopulation:
             tracemalloc.stop()
         assert raw.planes.nbytes == planes * n * m // 8
         assert peak <= planes * n * m / 8 + 8e6
+
+    def test_standard_normal_peak_memory_is_the_float32_matrix(self):
+        # the draw goes through the same reused buffer: the peak is the
+        # float32 matrix plus a few MB, not float64 copies of whole blocks
+        n, m = 4096, 2000
+        dist = make_distribution("standard-normal", m, RandomSource(6).spawn(3))
+        tracemalloc.start()
+        try:
+            raw, _, _ = population_sample(dist, n, m, LiabilityParams(0.5),
+                                          design_from_prevalences(0.1, 0.5), RandomSource(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert raw.nbytes == n * m * 4
+        assert peak <= n * m * 4 + 8e6
 
 
 class TestAscertain:
