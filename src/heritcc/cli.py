@@ -31,6 +31,7 @@ from .experiments import (
     write_consistency_csv,
     write_records_csv,
     write_summary_csv,
+    write_table,
     write_timing_csv,
 )
 from .grm import SigmaPair, event_en_check, grm_compute, grm_to_csv, save_grm
@@ -41,6 +42,7 @@ from .moments import (
 )
 from .simulate import (
     GENOTYPE_KINDS,
+    LiabilityParams,
     design_from_prevalences,
     load_dataset,
     save_dataset,
@@ -186,18 +188,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_prevalences(parser: argparse.ArgumentParser, k: float, p: float) -> None:
-    """Flag-level validation: bad prevalences are usage errors (exit 2)."""
+def _validate_flags(parser: argparse.ArgumentParser, k: float, p: float,
+                    eta: float | None = None) -> None:
+    """Flag-level validation: bad prevalences or heritability are usage
+    errors (exit 2)."""
     try:
         design_from_prevalences(k, p)
+        if eta is not None:
+            LiabilityParams(eta)
     except ValueError as exc:
         parser.error(str(exc))
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _validate_prevalences(parser, args.population_prevalence, args.study_prevalence)
-    if args.eta < 0.0 or args.eta > 1.0:
-        parser.error(f"--eta must lie in [0, 1], got {args.eta}")
+    _validate_flags(parser, args.population_prevalence, args.study_prevalence, args.eta)
     resolved = {
         "K": args.population_prevalence, "P": args.study_prevalence,
         "eta": args.eta, "n_loci": args.n_loci, "target_cases": args.target_cases,
@@ -242,14 +246,15 @@ def _cmd_grm(args: argparse.Namespace) -> int:
 def _cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     for k in args.population_prevalence:
         for p in args.study_prevalence:
-            _validate_prevalences(parser, k, p)
+            _validate_flags(parser, k, p)
     resolved = {
         "a_i": args.a_i, "a_j": args.a_j, "b_ij": args.b_ij, "eta": args.eta,
         "K": args.population_prevalence, "P": args.study_prevalence,
         "N": args.n_loci, "out": args.out,
     }
     _print_config("moments", resolved)
-    lines = ["a_i,a_j,b_ij,eta,K,P,n_loci,exact,first_order,second_order"]
+    header = "a_i,a_j,b_ij,eta,K,P,n_loci,exact,first_order,second_order".split(",")
+    rows = []
     grid = itertools.product(
         args.a_i, args.a_j, args.b_ij, args.eta,
         args.population_prevalence, args.study_prevalence, args.n_loci,
@@ -257,15 +262,12 @@ def _cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     for a_i, a_j, b_ij, eta, k, p, n_loci in grid:
         design = design_from_prevalences(k, p)
         sp = SigmaPair(a_i=a_i, a_j=a_j, b_ij=b_ij)
-        exact = exact_pair_expectation(sp, design, eta, n_loci)
-        first = first_order_pair_expectation(b_ij / math.sqrt(n_loci), design, eta)
-        second = second_order_pair_expectation(sp, design, eta, n_loci)
-        lines.append(",".join([
-            repr(a_i), repr(a_j), repr(b_ij), repr(eta), repr(k), repr(p),
-            str(n_loci), repr(exact), repr(first), repr(second),
-        ]))
-    _atomic_produce(Path(args.out), lambda tmp: tmp.write_text("\n".join(lines) + "\n"))
-    print(f"wrote {args.out}: {len(lines) - 1} grid points")
+        rows.append((a_i, a_j, b_ij, eta, k, p, n_loci,
+                     exact_pair_expectation(sp, design, eta, n_loci),
+                     first_order_pair_expectation(b_ij / math.sqrt(n_loci), design, eta),
+                     second_order_pair_expectation(sp, design, eta, n_loci)))
+    _atomic_produce(Path(args.out), lambda tmp: write_table(tmp, header, rows))
+    print(f"wrote {args.out}: {len(rows)} grid points")
     return 0
 
 
@@ -353,7 +355,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_consistency(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _validate_prevalences(parser, args.population_prevalence, args.study_prevalence)
+    _validate_flags(parser, args.population_prevalence, args.study_prevalence, args.eta)
     threads = args.threads if args.threads else _default_threads()
     resolved = {
         "eta": args.eta, "K": args.population_prevalence, "P": args.study_prevalence,

@@ -2,10 +2,13 @@
 
 The closed-form estimator regresses pair products on relatedness with a known
 slope constant and clamps to [0, 1]. The refined estimator minimizes the
-least-squares gap to the quadratic pair-moment approximation; that objective
-is a quartic polynomial in heritability, so one sweep over pairs yields five
-coefficients, and its minimum on [0, 1] lies at an endpoint or at a real root
-of the cubic derivative.
+least-squares gap to the quadratic pair-moment model, whose weights
+:func:`~heritcc.moments.moment_weights` gives; this module keeps only the
+sums over pairs and the minimization. The locus count M is always the
+relationship matrix's own. The objective is a quartic polynomial in
+heritability, so one sweep over pairs yields five coefficients, and its
+minimum on [0, 1] lies at an endpoint or at a real root of the cubic
+derivative.
 
 Both estimators read the relationship matrix in row panels, with the
 diagonal set to 0, and keep only per-row sums from each panel; the totals
@@ -29,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grm import GrmView, _offdiagonal_panels
-from .moments import pair_moment_slope
-from .numerics import std_normal_pdf
+from .moments import moment_weights, pair_moment_slope
 from .simulate import AscertainedSample, StudyDesign
 
 __all__ = [
@@ -111,33 +113,15 @@ def estimate_first_order(sample: AscertainedSample, g: GrmView,
     )
 
 
-def _moment_weights(design: StudyDesign, n_loci: int) -> tuple[float, float, float, float]:
-    """Weights (alpha, beta, gamma, delta) of the quadratic moment model: per
-    pair c1 = alpha b_ij and c2 = beta a_i a_j + gamma b_ij^2
-    + delta b_ij (a_i + a_j), in the scaled deviations a and b."""
-    k, p = design.population_prevalence, design.study_prevalence
-    t = design.threshold
-    density = std_normal_pdf(t)
-    dsq = density * density
-    scale = p * (1.0 - p) / (k * k * (1.0 - k) ** 2)
-    mismatch = (p - k) / (k * (1.0 - k))
-    return (
-        scale * dsq / math.sqrt(n_loci),
-        (scale / n_loci) * (t * t / 4.0) * dsq,
-        (scale / n_loci) * dsq * (t * t / 2.0 - mismatch * mismatch * dsq),
-        (scale / n_loci) * 0.5 * dsq * (t * t - 1.0 - mismatch * t * density),
-    )
-
-
-def _pair_moment_pieces(g: GrmView, design: StudyDesign,
-                        n_loci: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair coefficients (c1, c2) of the quadratic moment approximation,
-    so the modeled pair moment is eta*c1 + eta^2*c2. Diagonals zeroed.
+def _pair_moment_pieces(g: GrmView, design: StudyDesign) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair coefficients (c1, c2) of the quadratic moment model of
+    :func:`~heritcc.moments.moment_weights`, so the modeled pair moment is
+    eta*c1 + eta^2*c2. Diagonals zeroed; M is the matrix's locus count.
 
     Built from whole n x n arrays of the scaled deviations of
     :func:`~heritcc.grm.sigma_pair`: the diagonal excess a and the
     off-diagonal entries b."""
-    alpha, beta, gamma, delta = _moment_weights(design, n_loci)
+    alpha, beta, gamma, delta = moment_weights(design, g.n_loci)
     root = math.sqrt(g.n_loci)
     a = root * (np.diag(g.g) - 1.0)
     b = root * g.g
@@ -151,11 +135,11 @@ def _pair_moment_pieces(g: GrmView, design: StudyDesign,
 
 
 def second_order_objective(eta: float, sample: AscertainedSample, g: GrmView,
-                           design: StudyDesign, n_loci: int) -> float:
+                           design: StudyDesign) -> float:
     """Least-squares gap between observed pair products and the quadratic
     moment model, summed over ordered off-diagonal pairs."""
     w = np.asarray(sample.w, dtype=np.float64)
-    c1, c2 = _pair_moment_pieces(g, design, n_loci)
+    c1, c2 = _pair_moment_pieces(g, design)
     products = np.outer(w, w)
     np.fill_diagonal(products, 0.0)
     resid = products - eta * c1 - eta * eta * c2
@@ -164,7 +148,7 @@ def second_order_objective(eta: float, sample: AscertainedSample, g: GrmView,
 
 
 def _objective_coefficients(sample: AscertainedSample, g: GrmView,
-                            design: StudyDesign, n_loci: int) -> np.ndarray:
+                            design: StudyDesign) -> np.ndarray:
     """Quartic coefficients (ascending powers) of the objective in one sweep.
 
     With B = sqrt(M) G off the diagonal (B_k its elementwise k-th power) and
@@ -183,7 +167,7 @@ def _objective_coefficients(sample: AscertainedSample, g: GrmView,
         ValueError: the first-order estimator's, on the same inputs.
     """
     w = _checked_weights(sample, g)
-    alpha, beta, gamma, delta = _moment_weights(design, n_loci)
+    alpha, beta, gamma, delta = moment_weights(design, g.n_loci)
     root = math.sqrt(g.n_loci)
     a = root * (np.diag(g.g) - 1.0)
     n = w.shape[0]
@@ -241,11 +225,15 @@ def estimate_second_order(sample: AscertainedSample, g: GrmView,
     raised, when a coefficient is not finite.
 
     Raises:
-        ValueError: as :func:`estimate_first_order` does, from the checks in
-            the coefficient sweep.
+        ValueError: if ``n_loci`` differs from ``g.n_loci``, and as
+            :func:`estimate_first_order` does, from the checks in the
+            coefficient sweep.
     """
+    if n_loci != g.n_loci:
+        raise ValueError(f"n_loci {n_loci} does not match the relationship matrix's "
+                         f"{g.n_loci} loci")
     start = time.perf_counter()
-    poly = _objective_coefficients(sample, g, design, n_loci)[::-1]
+    poly = _objective_coefficients(sample, g, design)[::-1]
     converged = bool(np.isfinite(poly).all())
     candidates = np.array([0.0, 1.0])
     if converged:

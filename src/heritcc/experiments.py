@@ -19,7 +19,7 @@ import statistics
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,8 @@ from .numerics import RandomSource
 from .simulate import (
     GENOTYPE_KINDS,
     AscertainedSample,
+    LiabilityParams,
+    _centered_w,
     design_from_prevalences,
     make_distribution,
     sample_genotype_matrix,
@@ -45,6 +47,7 @@ __all__ = [
     "run_experiment",
     "run_timing",
     "run_consistency_study",
+    "write_table",
     "write_records_csv",
     "read_records_csv",
     "write_summary_csv",
@@ -105,10 +108,12 @@ class ExperimentConfig:
     genotype_kind: str = "binomial-2-p"
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.population_prevalence > self.study_prevalence:
-            raise ValueError("population prevalence must not exceed study prevalence")
+        for name in ("replications", "n_loci", "target_cases"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        # the study's own checks, made before any replication runs
+        design_from_prevalences(self.population_prevalence, self.study_prevalence)
+        LiabilityParams(self.eta_star)
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; valid: {METHODS}")
@@ -116,17 +121,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown genotype kind {self.genotype_kind!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "eta_star": self.eta_star,
-            "population_prevalence": self.population_prevalence,
-            "study_prevalence": self.study_prevalence,
-            "n_loci": self.n_loci,
-            "target_cases": self.target_cases,
-            "replications": self.replications,
-            "seed": self.seed,
-            "methods": ",".join(self.methods),
-            "genotype_kind": self.genotype_kind,
-        }
+        return asdict(self) | {"methods": ",".join(self.methods)}
 
 
 @dataclass(frozen=True)
@@ -255,17 +250,17 @@ class TimingRow:
     seconds: float
 
 
-def _timing_inputs(n: int, n_loci: int, study_prevalence: float, seed: int):
+_TIMING_DESIGN = design_from_prevalences(0.1, 0.5)
+
+
+def _timing_inputs(n: int, n_loci: int, seed: int):
     """Synthesize estimator inputs of exactly the requested size."""
     rs = RandomSource(seed)
     dist = make_distribution("binomial-2-p", n_loci, rs.spawn(0))
     raw = sample_genotype_matrix(dist, n, n_loci, rs.spawn(1))
-    y = rs.spawn(2).generator.random(n) < study_prevalence
-    w = (y.astype(np.float64) - study_prevalence) / math.sqrt(
-        study_prevalence * (1.0 - study_prevalence)
-    )
+    y = rs.spawn(2).generator.random(n) < _TIMING_DESIGN.study_prevalence
     sample = AscertainedSample(
-        indices=np.arange(n), y=y, w=w,
+        indices=np.arange(n), y=y, w=_centered_w(y, _TIMING_DESIGN),
         n_cases=int(y.sum()), n_controls=int(n - y.sum()),
     )
     return raw, sample
@@ -282,9 +277,7 @@ def _run_estimation(raw, sample, design, n_loci: int, method: str) -> None:
 
 def run_timing(n_values: list[int], n_loci_values: list[int],
                methods: tuple[str, ...] = ("first", "second"),
-               seed: int = 0, study_prevalence: float = 0.5,
-               population_prevalence: float = 0.1,
-               repeats: int = 3) -> list[TimingRow]:
+               seed: int = 0, repeats: int = 3) -> list[TimingRow]:
     """Median-of-``repeats`` wall time per grid point, one warm-up run each.
 
     Timed work: standardize + relationship matrix + estimator, matching the
@@ -294,18 +287,17 @@ def run_timing(n_values: list[int], n_loci_values: list[int],
     """
     if not n_values or not n_loci_values:
         raise ValueError("timing grids must be nonempty")
-    design = design_from_prevalences(population_prevalence, study_prevalence)
     rows = []
     for n in n_values:
         for n_loci in n_loci_values:
-            raw, sample = _timing_inputs(n, n_loci, study_prevalence, seed)
+            raw, sample = _timing_inputs(n, n_loci, seed)
             times = {method: [] for method in methods}
             for method in methods:
-                _run_estimation(raw, sample, design, n_loci, method)  # warm-up
+                _run_estimation(raw, sample, _TIMING_DESIGN, n_loci, method)  # warm-up
             for _ in range(repeats):
                 for method in methods:
                     t0 = time.perf_counter()
-                    _run_estimation(raw, sample, design, n_loci, method)
+                    _run_estimation(raw, sample, _TIMING_DESIGN, n_loci, method)
                     times[method].append(time.perf_counter() - t0)
             rows.extend(TimingRow(n, n_loci, method, statistics.median(times[method]))
                         for method in methods)
@@ -375,24 +367,33 @@ def run_consistency_study(eta_star: float, population_prevalence: float,
 # ---------------------------------------------------------------------------
 
 
-def _config_comment_lines(cfg_dict: dict) -> list[str]:
-    return [f"# {key}={cfg_dict[key]}" for key in sorted(cfg_dict)]
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def write_table(path: str | Path, header, rows, meta: dict | None = None) -> None:
+    """Write ``# key=value`` lines for ``meta`` (sorted by key), the header
+    and one comma-separated line per row. Floats are written with repr, so
+    they read back exactly; booleans as 1/0; None as an empty cell."""
+    lines = [f"# {key}={value}" for key, value in sorted((meta or {}).items())]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_records_csv(path: str | Path, result: ExperimentResult) -> None:
-    cfg = result.config
-    lines = _config_comment_lines(cfg.as_dict())
-    method_cols = [f"eta_hat_{m}" for m in cfg.methods]
-    lines.append(",".join(["rep_index", "realized_n", "realized_cases",
-                           *method_cols, "en_holds", "error"]))
-    for r in result.records:
-        etas = [repr(r.eta_hat[m]) if m in r.eta_hat else "" for m in cfg.methods]
-        lines.append(",".join([
-            str(r.rep_index), str(r.realized_n), str(r.realized_cases),
-            *etas, "1" if r.en_holds else "0",
-            r.error.replace(",", ";") if r.error else "",
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    methods = result.config.methods
+    header = ["rep_index", "realized_n", "realized_cases",
+              *(f"eta_hat_{m}" for m in methods), "en_holds", "error"]
+    rows = ([r.rep_index, r.realized_n, r.realized_cases,
+             *(r.eta_hat.get(m) for m in methods), r.en_holds,
+             r.error.replace(",", ";") if r.error else None]
+            for r in result.records)
+    write_table(path, header, rows, result.config.as_dict())
 
 
 def read_records_csv(path: str | Path) -> tuple[dict, list[ReplicationRecord]]:
@@ -426,35 +427,15 @@ def read_records_csv(path: str | Path) -> tuple[dict, list[ReplicationRecord]]:
 
 
 def write_summary_csv(path: str | Path, result: ExperimentResult) -> None:
-    lines = _config_comment_lines(result.config.as_dict())
-    lines.append("method,n_ok,mean,sd,bias,q25,median,q75")
-    for method in result.config.methods:
-        if method not in result.summaries:
-            continue
-        s = result.summaries[method]
-        lines.append(",".join([
-            s.method, str(s.n_ok), repr(s.mean), repr(s.sd), repr(s.bias),
-            repr(s.q25), repr(s.median), repr(s.q75),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [result.summaries[m] for m in result.config.methods if m in result.summaries]
+    write_table(path, [f.name for f in fields(MethodSummary)], map(astuple, rows),
+                result.config.as_dict())
 
 
 def write_timing_csv(path: str | Path, rows: list[TimingRow], meta: dict | None = None) -> None:
-    lines = _config_comment_lines(meta or {})
-    lines.append("n,n_loci,method,seconds")
-    for row in rows:
-        lines.append(f"{row.n},{row.n_loci},{row.method},{row.seconds!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, [f.name for f in fields(TimingRow)], map(astuple, rows), meta)
 
 
 def write_consistency_csv(path: str | Path, rows: list[ConsistencyRow],
                           meta: dict | None = None) -> None:
-    lines = _config_comment_lines(meta or {})
-    lines.append("n_loci,target_n,reps,mean,sd,rmse,mean_sq_offdiag,ratio_deviation")
-    for row in rows:
-        lines.append(",".join([
-            str(row.n_loci), str(row.target_n), str(row.reps), repr(row.mean),
-            repr(row.sd), repr(row.rmse), repr(row.mean_sq_offdiag),
-            repr(row.ratio_deviation),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, [f.name for f in fields(ConsistencyRow)], map(astuple, rows), meta)

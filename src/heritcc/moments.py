@@ -9,6 +9,9 @@ Three routes to the same quantity:
 * a second-order approximation that also uses the diagonal deviations of the
   pair's latent covariance.
 
+The quadratic model's weights are written once, in :func:`moment_weights`;
+the second-order estimator's sums over pairs read them too.
+
 The second-order expansion carries two switchable density-squared factors.
 Re-deriving the expansion shows both factors are required for the remainder
 to shrink at the three-halves power of the locus count; the alternative
@@ -31,6 +34,7 @@ __all__ = [
     "exact_pair_expectation",
     "pair_moment_slope",
     "first_order_pair_expectation",
+    "moment_weights",
     "second_order_pair_expectation",
 ]
 
@@ -104,18 +108,26 @@ def first_order_pair_expectation(g_ij: float, design: StudyDesign, eta: float) -
     return eta * pair_moment_slope(design) * g_ij
 
 
-def second_order_pair_expectation(sp: SigmaPair, design: StudyDesign, eta: float,
-                                  n_loci: int, *,
-                                  diag_product_density_sq: bool = True,
-                                  mixing_density_sq: bool = True) -> float:
-    """Quadratic approximation of the conditional pair moment.
+def moment_weights(design: StudyDesign, n_loci: int, *,
+                   diag_product_density_sq: bool = True,
+                   mixing_density_sq: bool = True) -> tuple[float, float, float, float]:
+    """Weights (alpha, beta, gamma, delta) of the quadratic pair-moment model.
 
-    ``diag_product_density_sq`` multiplies the diagonal-deviation product term
-    by the squared threshold density; ``mixing_density_sq`` applies the same
-    factor to the prevalence-mismatch part of the squared-relatedness term.
-    Both default to the variant whose error against the exact oracle decays
-    at the three-halves power of the locus count (see the order-check tests);
-    disabling either knocks the decay back to first power.
+    In a pair's scaled deviations a and b (:class:`~heritcc.grm.SigmaPair`)
+    the model is eta*c1 + eta^2*c2, with c1 = alpha b_ij and
+    c2 = beta a_i a_j + gamma b_ij^2 + delta b_ij (a_i + a_j). The
+    second-order estimator minimizes its least-squares gap to this model.
+
+    ``diag_product_density_sq`` multiplies beta, the diagonal-deviation
+    product weight, by the squared threshold density;
+    ``mixing_density_sq`` applies the same factor to the prevalence-mismatch
+    part of gamma. Both default to the variant whose error against the exact
+    oracle decays at the three-halves power of the locus count (see the
+    order-check tests); disabling either knocks the decay back to first
+    power.
+
+    Raises:
+        ValueError: if ``n_loci < 1``.
     """
     if n_loci < 1:
         raise ValueError("n_loci must be >= 1")
@@ -124,21 +136,25 @@ def second_order_pair_expectation(sp: SigmaPair, design: StudyDesign, eta: float
     density = std_normal_pdf(t)
     dsq = density * density
     scale = p * (1.0 - p) / (k * k * (1.0 - k) ** 2)
-    root = math.sqrt(n_loci)
-    e1 = eta / root
-    e2 = eta * eta / n_loci
     mismatch = (p - k) / (k * (1.0 - k))
-
-    linear = e1 * scale * dsq * sp.b_ij
-    diag_product = (
-        e2 * scale * (t * t / 4.0) * sp.a_i * sp.a_j
-        * (dsq if diag_product_density_sq else 1.0)
+    return (
+        scale * dsq / math.sqrt(n_loci),
+        (scale / n_loci) * (t * t / 4.0) * (dsq if diag_product_density_sq else 1.0),
+        (scale / n_loci) * dsq * (t * t / 2.0 - mismatch * mismatch
+                                  * (dsq if mixing_density_sq else 1.0)),
+        (scale / n_loci) * 0.5 * dsq * (t * t - 1.0 - mismatch * t * density),
     )
-    mixing = mismatch * mismatch * (dsq if mixing_density_sq else 1.0)
-    squared_relatedness = e2 * scale * dsq * sp.b_ij * sp.b_ij * (t * t / 2.0 - mixing)
-    cross = (
-        0.5 * e2 * scale * dsq * sp.b_ij * (sp.a_i + sp.a_j)
-        * (t * t - 1.0 - mismatch * t * density)
-    )
-    return linear + diag_product + squared_relatedness + cross
 
+
+def second_order_pair_expectation(sp: SigmaPair, design: StudyDesign, eta: float,
+                                  n_loci: int, *,
+                                  diag_product_density_sq: bool = True,
+                                  mixing_density_sq: bool = True) -> float:
+    """Quadratic approximation of the conditional pair moment: the model of
+    :func:`moment_weights`, whose flags it forwards, at one pair."""
+    alpha, beta, gamma, delta = moment_weights(
+        design, n_loci, diag_product_density_sq=diag_product_density_sq,
+        mixing_density_sq=mixing_density_sq)
+    a_i, a_j, b = sp.a_i, sp.a_j, sp.b_ij
+    return eta * alpha * b + eta * eta * (beta * a_i * a_j + gamma * b * b
+                                          + delta * b * (a_i + a_j))

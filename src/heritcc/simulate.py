@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,15 +88,14 @@ class GenotypeDistribution:
         return None if self.allele_freqs is None else int(self.allele_freqs.shape[0])
 
 
-def make_distribution(kind: str, n_loci: int, rs: RandomSource,
-                      freq_low: float = 0.05, freq_high: float = 0.95) -> GenotypeDistribution:
+def make_distribution(kind: str, n_loci: int, rs: RandomSource) -> GenotypeDistribution:
     """Build a genotype distribution, drawing per-locus frequencies once.
 
-    Frequencies are uniform on [freq_low, freq_high] so per-locus variances
-    stay bounded away from 0.
+    Frequencies are uniform on [0.05, 0.95] so per-locus variances stay
+    bounded away from 0.
     """
     if kind == "binomial-2-p":
-        freqs = rs.generator.uniform(freq_low, freq_high, size=n_loci)
+        freqs = rs.generator.uniform(0.05, 0.95, size=n_loci)
         return GenotypeDistribution(kind, freqs)
     return GenotypeDistribution(kind)
 
@@ -474,15 +473,7 @@ def ascertain(y: np.ndarray, design: StudyDesign, rs: RandomSource) -> Ascertain
 def attach_study_genotypes(sample: AscertainedSample, raw: np.ndarray | PackedGenotypes
                            ) -> AscertainedSample:
     """Return the sample with genotypes standardized over the study rows."""
-    z_study = standardize(raw[sample.indices])
-    return AscertainedSample(
-        indices=sample.indices,
-        y=sample.y,
-        w=sample.w,
-        n_cases=sample.n_cases,
-        n_controls=sample.n_controls,
-        z_study=z_study,
-    )
+    return replace(sample, z_study=standardize(raw[sample.indices]))
 
 
 @dataclass(frozen=True)
@@ -510,6 +501,8 @@ def simulate_case_control_study(heritability: float, population_prevalence: floa
     """
     if target_cases < 1:
         raise ValueError("target_cases must be >= 1")
+    if n_loci < 1:
+        raise ValueError("n_loci must be >= 1")
     design = design_from_prevalences(population_prevalence, study_prevalence)
     lp = LiabilityParams(heritability)
     rs = RandomSource(seed)

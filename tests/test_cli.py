@@ -34,6 +34,27 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--K", "0"],
+        ["experiment", "--eta", "1.5"],
+        ["experiment", "--target-cases", "0"],
+        ["experiment", "--n-loci", "0"],
+        ["consistency", "--eta", "1.5"],
+    ])
+    def test_bad_study_parameter_is_usage_error(self, capsys, tmp_path, argv):
+        out_flag = "--out-dir" if argv[0] == "experiment" else "--out"
+        code, _, _ = _run(capsys, *argv, "--replications", "2", "--threads", "1",
+                          out_flag, str(tmp_path / "out"))
+        assert code == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_simulate_zero_loci_exits_1_with_message(self, capsys, tmp_path):
+        code, _, err = _run(capsys, "simulate", "--n-loci", "0",
+                            "--out", str(tmp_path / "x.bin"))
+        assert code == 1
+        assert "n_loci must be >= 1" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_flag_exits_2(self, capsys, tmp_path):
         code, _, _ = _run(
             capsys, "simulate", "--no-such-flag", "--out", str(tmp_path / "x.bin")

@@ -12,13 +12,12 @@ from heritcc.estimators import (
     estimate_first_order,
     estimate_second_order,
     second_order_objective,
-    _moment_weights,
     _objective_coefficients,
     _pair_moment_pieces,
     _pair_sums,
 )
 from heritcc.grm import GrmView, grm_compute
-from heritcc.moments import pair_moment_slope, second_order_pair_expectation
+from heritcc.moments import moment_weights, pair_moment_slope, second_order_pair_expectation
 from heritcc.grm import sigma_pair
 from heritcc.numerics import rng_create
 from heritcc.simulate import (
@@ -145,37 +144,37 @@ class TestSecondOrderObjective:
         # all off-diagonals zero: modeled moment vanishes, objective flat
         sample = _sample_from_w([1.0, -1.0, 1.0, -1.0])
         g = _grm_from_matrix(np.eye(4))
-        vals = {second_order_objective(e, sample, g, BALANCED, 100) for e in (0.0, 0.3, 0.9)}
+        vals = {second_order_objective(e, sample, g, BALANCED) for e in (0.0, 0.3, 0.9)}
         assert max(vals) - min(vals) <= 1e-12
 
     def test_nonnegative(self):
         sample, g, design = _simulated_inputs(seed=6, n_loci=300, target_cases=20, kind="standard-normal")
         for eta in (0.0, 0.25, 0.5, 1.0):
-            assert second_order_objective(eta, sample, g, design, g.n_loci) >= 0.0
+            assert second_order_objective(eta, sample, g, design) >= 0.0
 
     def test_quartic_structure(self):
         # objective through 5 probe points matches a degree-4 polynomial
         sample, g, design = _simulated_inputs(seed=7, n_loci=300, target_cases=20, kind="standard-normal")
         probes = np.linspace(0.0, 1.0, 5)
-        values = [second_order_objective(e, sample, g, design, g.n_loci) for e in probes]
+        values = [second_order_objective(e, sample, g, design) for e in probes]
         fitted = np.polyfit(probes, values, 4)
         dense = np.linspace(0.0, 1.0, 23)
-        direct = np.array([second_order_objective(e, sample, g, design, g.n_loci) for e in dense])
+        direct = np.array([second_order_objective(e, sample, g, design) for e in dense])
         poly = np.polyval(fitted, dense)
         assert np.allclose(poly, direct, rtol=1e-9, atol=1e-9 * abs(direct).max())
 
     def test_coefficient_path_matches_direct_evaluation(self):
         sample, g, design = _simulated_inputs(seed=8, n_loci=300, target_cases=20, kind="standard-normal")
-        coeffs = _objective_coefficients(sample, g, design, g.n_loci)
+        coeffs = _objective_coefficients(sample, g, design)
         for eta in (0.0, 0.2, 0.5, 0.8, 1.0):
             via_coeffs = float(np.polyval(coeffs[::-1], eta))
-            direct = second_order_objective(eta, sample, g, design, g.n_loci)
+            direct = second_order_objective(eta, sample, g, design)
             assert via_coeffs == pytest.approx(direct, rel=1e-9)
 
     def test_pieces_match_pair_moment_formula(self):
         # per-pair model eta*c1 + eta^2*c2 equals the scalar approximation
         sample, g, design = _simulated_inputs(seed=9, n_loci=200, target_cases=10, kind="standard-normal")
-        c1, c2 = _pair_moment_pieces(g, design, g.n_loci)
+        c1, c2 = _pair_moment_pieces(g, design)
         eta = 0.6
         for i, j in [(0, 1), (2, 5), (4, 3)]:
             sp = sigma_pair(g, i, j)
@@ -186,8 +185,8 @@ class TestSecondOrderObjective:
         # the dense pieces are built from sigma_pair's scaled deviations of
         # each pair, and are zero on the diagonal
         g = grm_compute(_random_z(12, 30, 11))
-        alpha, beta, gamma, delta = _moment_weights(REFERENCE, g.n_loci)
-        c1, c2 = _pair_moment_pieces(g, REFERENCE, g.n_loci)
+        alpha, beta, gamma, delta = moment_weights(REFERENCE, g.n_loci)
+        c1, c2 = _pair_moment_pieces(g, REFERENCE)
         for i, j in [(3, 7), (0, 11), (11, 0)]:
             sp = sigma_pair(g, i, j)
             assert c1[i, j] / alpha == pytest.approx(sp.b_ij, abs=1e-14)
@@ -200,9 +199,9 @@ class TestSecondOrderObjective:
         # across pairs of one large simulated matrix the scaled off-diagonal
         # spread is 1 up to o(1)
         g = grm_compute(_random_z(200, 10_000, 12))
-        c1, _ = _pair_moment_pieces(g, REFERENCE, g.n_loci)
+        c1, _ = _pair_moment_pieces(g, REFERENCE)
         iu = np.triu_indices(200, k=1)
-        b = c1[iu] / _moment_weights(REFERENCE, g.n_loci)[0]
+        b = c1[iu] / moment_weights(REFERENCE, g.n_loci)[0]
         assert b.std() == pytest.approx(1.0, abs=0.1)
 
 
@@ -255,10 +254,16 @@ class TestSecondOrderEstimator:
     def test_stationary_point_of_quartic(self):
         sample, g, design = _simulated_inputs(seed=12)
         report = estimate_second_order(sample, g, design, g.n_loci)
-        coeffs = _objective_coefficients(sample, g, design, g.n_loci)
+        coeffs = _objective_coefficients(sample, g, design)
         deriv = np.polyder(np.poly1d(coeffs[::-1]))
         if 0.0 < report.eta_hat < 1.0:
             assert abs(float(deriv(report.eta_hat))) <= 1e-6 * (1.0 + abs(coeffs[0]))
+
+    def test_rejects_locus_count_other_than_the_matrix(self):
+        sample, g, design = _simulated_inputs(seed=13, n_loci=200, target_cases=10,
+                                              kind="standard-normal")
+        with pytest.raises(ValueError, match=r"n_loci 5000 .* 200 loci"):
+            estimate_second_order(sample, g, design, 5000)
 
     def test_wall_time_recorded(self):
         sample, g, design = _simulated_inputs(seed=13, n_loci=200, target_cases=10, kind="standard-normal")
@@ -277,7 +282,7 @@ class TestSecondOrderEstimator:
                                             target_cases, seed)
         g = grm_compute(study.sample.z_study)
         report = estimate_second_order(study.sample, g, study.design, n_loci)
-        coeffs = _objective_coefficients(study.sample, g, study.design, n_loci)
+        coeffs = _objective_coefficients(study.sample, g, study.design)
         grad = float(np.polyder(np.poly1d(coeffs[::-1]))(report.eta_hat))
         assert abs(report.eta_hat - boundary) < 1e-10
         assert grad >= 0.0 if boundary == 0.0 else grad <= 0.0
@@ -304,7 +309,7 @@ class TestSecondOrderEstimator:
             )
             g = grm_compute(standardize(x))
             report = estimate_second_order(sample, g, design, n_loci)
-            coeffs = _objective_coefficients(sample, g, design, n_loci)
+            coeffs = _objective_coefficients(sample, g, design)
             grid_min = float(np.polyval(coeffs[::-1], np.linspace(0.0, 1.0, 2001)).min())
             assert report.converged, seed
             assert report.objective_value <= grid_min + 1e-9 * abs(grid_min), seed
@@ -321,9 +326,9 @@ class TestSecondOrderEstimator:
         assert 0.0 <= report.eta_hat <= 1.0
 
 
-def _dense_coefficients(sample, g, design, n_loci):
+def _dense_coefficients(sample, g, design):
     # the quartic's coefficients from whole n x n arrays of the pair pieces
-    c1, c2 = _pair_moment_pieces(g, design, n_loci)
+    c1, c2 = _pair_moment_pieces(g, design)
     products = np.outer(sample.w, sample.w)
     np.fill_diagonal(products, 0.0)
     return np.array([
@@ -352,16 +357,16 @@ class TestPanelSweep:
         # n around the 256-row panel height: one short panel, one exact
         # panel, a one-row tail and several panels
         sample, g = _study_of_size(n, kind)
-        fast = _objective_coefficients(sample, g, REFERENCE, g.n_loci)
-        dense = _dense_coefficients(sample, g, REFERENCE, g.n_loci)
+        fast = _objective_coefficients(sample, g, REFERENCE)
+        dense = _dense_coefficients(sample, g, REFERENCE)
         np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("rows", [7, 1000])
     def test_panel_height_does_not_change_coefficients(self, monkeypatch, rows):
         sample, g = _study_of_size(600, "binomial-2-p")
-        default = _objective_coefficients(sample, g, REFERENCE, g.n_loci)
+        default = _objective_coefficients(sample, g, REFERENCE)
         monkeypatch.setattr(grm_module, "_PANEL_ROWS", rows)
-        assert np.array_equal(_objective_coefficients(sample, g, REFERENCE, g.n_loci), default)
+        assert np.array_equal(_objective_coefficients(sample, g, REFERENCE), default)
 
     def test_peak_memory_is_panels_not_matrices(self):
         n = 3000
@@ -369,8 +374,8 @@ class TestPanelSweep:
         g = grm_compute(standardize(x))
         sample = _sample_from_w(np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
         one_matrix = n * n * 8
-        for fn, args in [(_objective_coefficients, (REFERENCE, 5000)),
-                         (estimate_second_order, (REFERENCE, 5000)),
+        for fn, args in [(_objective_coefficients, (REFERENCE,)),
+                         (estimate_second_order, (REFERENCE, g.n_loci)),
                          (estimate_first_order, (REFERENCE,))]:
             tracemalloc.start()
             try:

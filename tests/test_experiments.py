@@ -47,6 +47,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(replications=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("population_prevalence", 0.0, "prevalences must lie in"),
+        ("eta_star", 1.5, "heritability must lie in"),
+        ("n_loci", 0, "n_loci must be >= 1"),
+        ("target_cases", 0, "target_cases must be >= 1"),
+    ])
+    def test_rejects_bad_study_parameters(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{field: value})
+
 
 class TestRunExperiment:
     def test_deterministic_records(self):

@@ -12,6 +12,7 @@ from heritcc.moments import (
     ascertained_pair_ratio,
     exact_pair_expectation,
     first_order_pair_expectation,
+    moment_weights,
     pair_moment_slope,
     pair_probabilities,
     second_order_pair_expectation,
@@ -142,6 +143,25 @@ class TestSecondOrder:
     def test_rejects_bad_loci_count(self):
         with pytest.raises(ValueError):
             second_order_pair_expectation(_sp(), DESIGN, 0.5, 0)
+
+    def test_is_the_model_of_moment_weights(self):
+        # eta*c1 + eta^2*c2 with the weights of moment_weights, under every
+        # flag setting; the flags reach beta and gamma only
+        sp, eta, n_loci = _sp(0.8, -0.3, 1.7), 0.6, 400
+        default = moment_weights(DESIGN, n_loci)
+        values = set()
+        for diag_flag in (True, False):
+            for mix_flag in (True, False):
+                flags = {"diag_product_density_sq": diag_flag, "mixing_density_sq": mix_flag}
+                alpha, beta, gamma, delta = moment_weights(DESIGN, n_loci, **flags)
+                assert (alpha, delta) == (default[0], default[3])
+                expected = eta * alpha * sp.b_ij + eta**2 * (
+                    beta * sp.a_i * sp.a_j + gamma * sp.b_ij**2
+                    + delta * sp.b_ij * (sp.a_i + sp.a_j))
+                value = second_order_pair_expectation(sp, DESIGN, eta, n_loci, **flags)
+                assert value == pytest.approx(expected, rel=1e-15)
+                values.add(value)
+        assert len(values) == 4
 
 
 def _order_errors(approx_fn, svals, eta=0.5, n_loci=1):

@@ -426,6 +426,10 @@ class TestStudyPipeline:
         prev = study.sample.n_cases / study.sample.y.shape[0]
         assert prev == pytest.approx(0.5, abs=0.05)
 
+    def test_rejects_zero_loci(self):
+        with pytest.raises(ValueError, match="n_loci must be >= 1"):
+            simulate_case_control_study(0.5, 0.1, 0.5, n_loci=0, target_cases=10, seed=1)
+
     @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
     def test_all_genotype_kinds_run(self, kind):
         study = simulate_case_control_study(
