@@ -34,7 +34,14 @@ from .experiments import (
     write_table,
     write_timing_csv,
 )
-from .grm import SigmaPair, event_en_check, grm_compute, grm_to_csv, save_grm
+from .grm import (
+    SigmaPair,
+    check_gamma,
+    event_en_check,
+    grm_compute,
+    grm_to_csv,
+    save_grm,
+)
 from .moments import (
     exact_pair_expectation,
     first_order_pair_expectation,
@@ -224,7 +231,12 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0
 
 
-def _cmd_grm(args: argparse.Namespace) -> int:
+def _cmd_grm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.check_en:
+        try:
+            check_gamma(args.gamma)
+        except ValueError as exc:
+            parser.error(str(exc))
     resolved = {"in": args.input, "out": args.out, "csv": args.csv,
                 "check_en": args.check_en, "gamma": args.gamma}
     _print_config("grm", resolved)
@@ -247,6 +259,8 @@ def _cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     for k in args.population_prevalence:
         for p in args.study_prevalence:
             _validate_flags(parser, k, p)
+    if min(args.n_loci) < 1:
+        parser.error(f"--N must be >= 1, got {min(args.n_loci)}")
     resolved = {
         "a_i": args.a_i, "a_j": args.a_j, "b_ij": args.b_ij, "eta": args.eta,
         "K": args.population_prevalence, "P": args.study_prevalence,
@@ -379,6 +393,9 @@ def _cmd_consistency(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     _atomic_produce(Path(args.out), lambda tmp: write_consistency_csv(tmp, rows, meta))
     for row in rows:
         print(f"n_loci={row.n_loci} n~{row.target_n}: rmse={row.rmse:.4f} sd={row.sd:.4f}")
+        if row.reps == 0:
+            print(f"warning: n_loci={row.n_loci}: no usable replication, its row is NaN; "
+                  f"first error: {row.first_error}", file=sys.stderr)
     print(f"wrote {args.out}")
     return 0
 
@@ -396,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "simulate":
             return _cmd_simulate(args, parser)
         if args.subcommand == "grm":
-            return _cmd_grm(args)
+            return _cmd_grm(args, parser)
         if args.subcommand == "moments":
             return _cmd_moments(args, parser)
         if args.subcommand == "estimate":

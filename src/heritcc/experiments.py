@@ -4,7 +4,12 @@ consistency trends.
 Replications draw from substreams indexed by replication number, so results
 are identical no matter how work is scheduled; records are sorted by index
 before any output is written. Pool workers are spawned with one BLAS thread
-each, so a pool of one worker per core runs one thread per core. CSV outputs
+each, so a pool of one worker per core runs one thread per core. A process
+keeps one pool: it starts at the first pooled call and serves every later
+call with the same worker count (each experiment, each locus count of a
+consistency study), so workers import numpy and heritcc once. A call with
+another worker count replaces it; a pool broken by a dying worker is dropped
+and the next call starts afresh; interpreter exit shuts it down. CSV outputs
 carry the full configuration as comment lines and round-trip exactly (floats
 serialized with repr).
 """
@@ -19,6 +24,7 @@ import statistics
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -62,8 +68,18 @@ _EN_GAMMA = 0.05
 # when a process loads its BLAS.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Held while a pool has the variables set, so that pools started from two
-# threads cannot restore each other's values.
+# threads cannot restore each other's values; it also guards the kept pool.
 _ENVIRON_LOCK = threading.Lock()
+# The pool _pool_map keeps between calls, and its worker count.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+
+
+def _drop_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
 
 
 def _pool_map(fn, tasks: list, workers: int) -> list:
@@ -72,19 +88,33 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
 
     Each worker runs one task at a time, so it gets one BLAS thread: the
     workers are spawned, load BLAS afresh and take its thread count from the
-    environment they start with. The variables are set only while the pool
-    runs; the caller's environment is restored afterwards. The serial path
-    keeps the caller's BLAS threads.
+    environment they start with. Workers start as tasks are submitted, so the
+    variables are set for the whole call; the caller's environment is
+    restored afterwards. The serial path keeps the caller's BLAS threads.
+
+    The pool outlives the call: the next call with the same ``workers``
+    reuses its warm workers, a call with another count shuts it down and
+    starts a new one, and a ``BrokenProcessPool`` (a worker died) drops it
+    before re-raising, so the call after starts fresh workers. It lives until
+    interpreter exit, when ``concurrent.futures`` shuts it down.
     """
+    global _pool, _pool_workers
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with _ENVIRON_LOCK:
         saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
         try:
-            context = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-                return list(pool.map(fn, tasks))
+            if _pool is None or _pool_workers != workers:
+                _drop_pool()
+                _pool = ProcessPoolExecutor(max_workers=workers,
+                                            mp_context=multiprocessing.get_context("spawn"))
+                _pool_workers = workers
+            try:
+                return list(_pool.map(fn, tasks))
+            except BrokenProcessPool:
+                _drop_pool()
+                raise
         finally:
             for name, value in saved.items():
                 if value is None:
@@ -319,6 +349,12 @@ class ConsistencyRow:
     rmse: float
     mean_sq_offdiag: float
     ratio_deviation: float
+    # the first replication error of a row with no usable replication; not
+    # written to consistency.csv
+    first_error: str | None = None
+
+
+_CONSISTENCY_COLUMNS = [f.name for f in fields(ConsistencyRow) if f.name != "first_error"]
 
 
 def run_consistency_study(eta_star: float, population_prevalence: float,
@@ -331,7 +367,9 @@ def run_consistency_study(eta_star: float, population_prevalence: float,
     For each locus count the study size targets ratio_a * n_loci; reports the
     estimator RMSE and the off-diagonal mean-square statistic against its
     n/n_loci reference. Continuous genotypes by default: the smallest studies
-    on the path make constant count-like columns likely.
+    on the path make constant count-like columns likely. A locus count whose
+    replications all fail gives a row with ``reps`` 0, NaN statistics and
+    the first replication's error in ``first_error``.
     """
     rows = []
     for n_loci in n_loci_values:
@@ -344,7 +382,12 @@ def run_consistency_study(eta_star: float, population_prevalence: float,
             genotype_kind=genotype_kind,
         )
         # a failed replication is left out of its row, not fatal
-        ok = [r for r in run_experiment(cfg, workers).records if r.error is None]
+        records = run_experiment(cfg, workers).records
+        ok = [r for r in records if r.error is None]
+        if not ok:
+            rows.append(ConsistencyRow(n_loci, target_n, 0, *[math.nan] * 5,
+                                       first_error=records[0].error))
+            continue
         estimates = np.array([r.eta_hat["first"] for r in ok])
         stats = np.array([r.mean_sq_offdiag for r in ok])
         deviations = np.array([abs(r.mean_sq_offdiag - r.realized_n / n_loci) for r in ok])
@@ -438,4 +481,5 @@ def write_timing_csv(path: str | Path, rows: list[TimingRow], meta: dict | None 
 
 def write_consistency_csv(path: str | Path, rows: list[ConsistencyRow],
                           meta: dict | None = None) -> None:
-    write_table(path, [f.name for f in fields(ConsistencyRow)], map(astuple, rows), meta)
+    write_table(path, _CONSISTENCY_COLUMNS,
+                ([getattr(row, name) for name in _CONSISTENCY_COLUMNS] for row in rows), meta)

@@ -26,6 +26,7 @@ __all__ = [
     "ZPropertyReport",
     "grm_compute",
     "sigma_pair",
+    "check_gamma",
     "event_en_check",
     "mean_square_offdiagonal",
     "z_property_suite",
@@ -117,6 +118,13 @@ class EnCheckResult:
     eps_n: float
 
 
+def check_gamma(gamma: float) -> None:
+    """Raise ValueError unless 0 < gamma < 1/10, the exponent offsets
+    ``event_en_check`` accepts."""
+    if not (0.0 < gamma < 0.1):
+        raise ValueError(f"gamma must lie in (0, 1/10), got {gamma}")
+
+
 def event_en_check(g: GrmView, gamma: float) -> EnCheckResult:
     """Uniform-smallness diagnostic for the relationship deviations.
 
@@ -124,8 +132,7 @@ def event_en_check(g: GrmView, gamma: float) -> EnCheckResult:
     diagonal deviation and every off-diagonal entry stays within it. The
     exponent offset must satisfy 0 < gamma < 1/10.
     """
-    if not (0.0 < gamma < 0.1):
-        raise ValueError(f"gamma must lie in (0, 1/10), got {gamma}")
+    check_gamma(gamma)
     eps_n = float(g.n_loci) ** -(0.5 - gamma)
     sup_diag = float(np.abs(np.diag(g.g) - 1.0).max())
     # np.max, unlike the builtin max, returns NaN when any panel holds a NaN

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,16 @@ class TestPipelineRoundTrip:
         assert out_path.exists()
         assert "uniform-smallness check" in out
 
+    def test_bad_gamma_is_usage_error_before_any_output(self, capsys, tmp_path, dataset):
+        out_path = tmp_path / "grm.bin"
+        code, _, err = _run(
+            capsys, "grm", "--in", str(dataset), "--out", str(out_path),
+            "--check-en", "--gamma", "-1",
+        )
+        assert code == 2
+        assert "gamma must lie in (0, 1/10)" in err
+        assert not out_path.exists()
+
     def test_grm_csv_export(self, capsys, tmp_path, dataset):
         out_path = tmp_path / "grm.csv"
         code, _, _ = _run(
@@ -151,6 +162,15 @@ class TestMomentsGrid:
             "--out", str(tmp_path / "g.csv"),
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize("n_loci", ["0", "-3"])
+    def test_nonpositive_locus_count_is_usage_error(self, capsys, tmp_path, n_loci):
+        code, _, err = _run(capsys, "moments", "--N", "100", n_loci,
+                            "--out", str(tmp_path / "g.csv"))
+        assert code == 2
+        assert "--N must be >= 1" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestExperimentCommand:
@@ -250,6 +270,23 @@ class TestConsistencyCommand:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0].startswith("n_loci,")
         assert len(data) == 3
+
+    def test_row_without_usable_replication_is_warned_about(self, capsys, tmp_path):
+        out = tmp_path / "consistency.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run(
+                capsys, "consistency", "--K", "0.2", "--ratio-a", "0.05",
+                "--N-values", "400", "--replications", "4",
+                "--genotype-kind", "binomial-2-p", "--threads", "1", "--out", str(out),
+            )
+        assert code == 0
+        warning_lines = [l for l in err.splitlines() if l.startswith("warning:")]
+        assert len(warning_lines) == 1
+        assert "n_loci=400" in warning_lines[0]
+        assert "zero empirical variance" in warning_lines[0]
+        row = out.read_text().strip().splitlines()[-1]
+        assert row == "400,20,0,nan,nan,nan,nan,nan"
 
 
 class TestOutputFiles:

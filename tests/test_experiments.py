@@ -1,7 +1,9 @@
 """Tests for the replication harness, timing grid, and consistency study."""
 
+import multiprocessing
 import os
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -128,6 +130,21 @@ class TestRunExperiment:
         assert record.mean_sq_offdiag == expected
 
 
+def _pid_and_blas_threads(_task):
+    return os.getpid(), [os.getenv(name) for name in TestPool.BLAS_VARS]
+
+
+def _live_workers() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _set_caller_environment(monkeypatch) -> dict:
+    """Give the caller BLAS threads of its own; return its environment."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    return dict(os.environ)
+
+
 class TestPool:
     BLAS_VARS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
 
@@ -170,6 +187,41 @@ class TestPool:
         for record in pooled:
             local = run_replication(cfg, record.rep_index)
             assert [getattr(record, f) for f in fields] == [getattr(local, f) for f in fields]
+
+    # The pool outlives a call and serves the next one.
+    def test_back_to_back_calls_share_workers(self, monkeypatch):
+        before = _set_caller_environment(monkeypatch)
+        first = experiments._pool_map(_pid_and_blas_threads, range(8), workers=2)
+        workers = _live_workers()
+        assert dict(os.environ) == before
+        second = experiments._pool_map(_pid_and_blas_threads, range(8), workers=2)
+        assert dict(os.environ) == before
+        assert len(workers) == 2
+        assert {pid for pid, _ in first + second} <= workers
+        assert _live_workers() == workers
+
+    def test_dead_worker_breaks_the_call_and_the_next_starts_fresh(self, monkeypatch):
+        before = _set_caller_environment(monkeypatch)
+        experiments._pool_map(_pid_and_blas_threads, range(2), workers=2)
+        old = _live_workers()
+        with pytest.raises(BrokenProcessPool):
+            experiments._pool_map(os._exit, [1, 1], workers=2)
+        assert dict(os.environ) == before
+        seen = experiments._pool_map(_pid_and_blas_threads, range(4), workers=2)
+        assert dict(os.environ) == before
+        assert not {pid for pid, _ in seen} & old
+        assert all(blas == ["1", "1", "1"] for _, blas in seen)
+        assert experiments._pool_map(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
+
+    def test_new_worker_count_replaces_the_pool_with_pinned_workers(self, monkeypatch):
+        before = _set_caller_environment(monkeypatch)
+        experiments._pool_map(_pid_and_blas_threads, range(2), workers=2)
+        old = _live_workers()
+        seen = experiments._pool_map(_pid_and_blas_threads, range(6), workers=3)
+        assert dict(os.environ) == before
+        assert all(blas == ["1", "1", "1"] for _, blas in seen)
+        assert not _live_workers() & old
+        assert len(_live_workers()) == 3
 
 
 class TestRecordsCsv:
@@ -271,3 +323,16 @@ class TestConsistencyStudy:
             rows = run_consistency_study(0.5, 0.2, 0.5, 0.05, [400], 1, 3)
         assert rows[0].reps == 1
         assert rows[0].sd == 0.0
+
+    def test_no_usable_replication_gives_nan_row_without_warnings(self):
+        # count genotypes in 20-person studies: every replication meets a
+        # constant column
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_consistency_study(0.5, 0.2, 0.5, 0.05, [400], 4, 1,
+                                         genotype_kind="binomial-2-p")
+        row = rows[0]
+        assert row.reps == 0
+        assert all(np.isnan([row.mean, row.sd, row.rmse, row.mean_sq_offdiag,
+                             row.ratio_deviation]))
+        assert "zero empirical variance" in row.first_error
