@@ -25,6 +25,7 @@ from . import __version__
 from .estimators import estimate_first_order, estimate_second_order
 from .experiments import (
     ExperimentConfig,
+    check_methods,
     run_consistency_study,
     run_experiment,
     run_timing,
@@ -109,7 +110,7 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
             continue
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
-            raise ValueError(f"{path}: config line {raw_line!r} is not key=value")
+            parser.error(f"{path}: config line {raw_line!r} is not key=value")
         if key not in _EXPERIMENT_CONFIG_KEYS:
             parser.error(f"{path}: unknown config key {key!r}")
         flags.append(f"--{key}={value}")
@@ -193,6 +194,16 @@ def _build_parser() -> argparse.ArgumentParser:
     cons.add_argument("--out", required=True)
 
     return parser
+
+
+def _methods(text: str, parser: argparse.ArgumentParser) -> tuple[str, ...]:
+    """The ``--methods`` list; an unknown or empty one is a usage error."""
+    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+    try:
+        check_methods(methods)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return methods
 
 
 def _validate_flags(parser: argparse.ArgumentParser, k: float, p: float,
@@ -323,7 +334,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    methods = _methods(args.methods, parser)
     threads = args.threads if args.threads else _default_threads()
     try:
         cfg = ExperimentConfig(
@@ -354,8 +365,8 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    methods = _methods(args.methods, parser)
     resolved = {"n_values": args.n_values, "N_values": args.n_loci_values,
                 "methods": methods, "seed": args.seed, "out": args.out}
     _print_config("bench", resolved)
@@ -421,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "experiment":
             return _cmd_experiment(args, parser)
         if args.subcommand == "bench":
-            return _cmd_bench(args)
+            return _cmd_bench(args, parser)
         if args.subcommand == "consistency":
             return _cmd_consistency(args, parser)
         raise AssertionError("unreachable")  # pragma: no cover

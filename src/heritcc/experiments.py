@@ -8,10 +8,10 @@ each, so a pool of one worker per core runs one thread per core. A process
 keeps one pool: it starts at the first pooled call and serves every later
 call with the same worker count (each experiment, each locus count of a
 consistency study), so workers import numpy and heritcc once. A call with
-another worker count replaces it; a pool broken by a dying worker is dropped
-and the next call starts afresh; interpreter exit shuts it down. CSV outputs
-carry the full configuration as comment lines and round-trip exactly (floats
-serialized with repr).
+another worker count, or a pool found broken when a call starts, is replaced;
+a pool that breaks while tasks run is dropped; interpreter exit shuts it
+down. CSV outputs carry the full configuration as comment lines and
+round-trip exactly (floats serialized with repr).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "run_experiment",
     "run_timing",
     "run_consistency_study",
+    "check_methods",
     "write_table",
     "write_records_csv",
     "read_records_csv",
@@ -75,11 +76,16 @@ _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 
 
-def _drop_pool() -> None:
-    global _pool
+def _replace_pool(workers: int) -> None:
+    """Shut the kept pool down and keep a fresh one of ``workers``
+    processes, or none for ``workers`` 0."""
+    global _pool, _pool_workers
     if _pool is not None:
         _pool.shutdown()
-        _pool = None
+    _pool, _pool_workers = None, workers
+    if workers:
+        _pool = ProcessPoolExecutor(max_workers=workers,
+                                    mp_context=multiprocessing.get_context("spawn"))
 
 
 def _pool_map(fn, tasks: list, workers: int) -> list:
@@ -93,12 +99,12 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
     restored afterwards. The serial path keeps the caller's BLAS threads.
 
     The pool outlives the call: the next call with the same ``workers``
-    reuses its warm workers, a call with another count shuts it down and
-    starts a new one, and a ``BrokenProcessPool`` (a worker died) drops it
-    before re-raising, so the call after starts fresh workers. It lives until
-    interpreter exit, when ``concurrent.futures`` shuts it down.
+    reuses its warm workers, a call with another count replaces it, and so
+    does a call that finds it broken (a worker died since the last call).
+    A ``BrokenProcessPool`` while tasks run drops it before re-raising, so
+    the call after starts fresh workers. It lives until interpreter exit,
+    when ``concurrent.futures`` shuts it down.
     """
-    global _pool, _pool_workers
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with _ENVIRON_LOCK:
@@ -106,14 +112,16 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
         try:
             if _pool is None or _pool_workers != workers:
-                _drop_pool()
-                _pool = ProcessPoolExecutor(max_workers=workers,
-                                            mp_context=multiprocessing.get_context("spawn"))
-                _pool_workers = workers
+                _replace_pool(workers)
             try:
-                return list(_pool.map(fn, tasks))
+                try:
+                    results = _pool.map(fn, tasks)  # submits every task before it returns
+                except BrokenProcessPool:
+                    _replace_pool(workers)
+                    results = _pool.map(fn, tasks)
+                return list(results)
             except BrokenProcessPool:
-                _drop_pool()
+                _replace_pool(0)
                 raise
         finally:
             for name, value in saved.items():
@@ -121,6 +129,18 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
                     os.environ.pop(name, None)
                 else:
                     os.environ[name] = value
+
+
+def check_methods(methods) -> None:
+    """Raise ValueError unless ``methods`` names each of some of ``METHODS``
+    once, naming the valid methods."""
+    unknown = set(methods) - set(METHODS)
+    if unknown:
+        raise ValueError(f"unknown methods {sorted(unknown)}; valid: {METHODS}")
+    if not methods:
+        raise ValueError(f"no methods given; valid: {METHODS}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"methods {list(methods)} repeat one; valid: {METHODS}")
 
 
 @dataclass(frozen=True)
@@ -144,9 +164,7 @@ class ExperimentConfig:
         # the study's own checks, made before any replication runs
         design_from_prevalences(self.population_prevalence, self.study_prevalence)
         LiabilityParams(self.eta_star)
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}; valid: {METHODS}")
+        check_methods(self.methods)
         if self.genotype_kind not in GENOTYPE_KINDS:
             raise ValueError(f"unknown genotype kind {self.genotype_kind!r}")
 
@@ -317,6 +335,7 @@ def run_timing(n_values: list[int], n_loci_values: list[int],
     """
     if not n_values or not n_loci_values:
         raise ValueError("timing grids must be nonempty")
+    check_methods(methods)
     rows = []
     for n in n_values:
         for n_loci in n_loci_values:

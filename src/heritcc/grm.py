@@ -16,20 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import RandomSource
-from .simulate import GenotypeDistribution, sample_genotype_matrix, standardize
-
 __all__ = [
     "GrmView",
     "SigmaPair",
     "EnCheckResult",
-    "ZPropertyReport",
     "grm_compute",
     "sigma_pair",
     "check_gamma",
     "event_en_check",
     "mean_square_offdiagonal",
-    "z_property_suite",
     "grm_to_csv",
     "save_grm",
     "load_grm",
@@ -154,116 +149,6 @@ def mean_square_offdiagonal(g: GrmView) -> float:
     for lo, panel in _offdiagonal_panels(g.g):
         np.einsum("ij,ij->i", panel, panel, out=row_sq[lo:lo + panel.shape[0]])
     return float(row_sq.sum()) / g.n_individuals
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    estimate: float
-    std_error: float
-    n_samples: int
-
-
-@dataclass(frozen=True)
-class ZPropertyReport:
-    """Monte Carlo estimates of standardized-genotype moments.
-
-    ``pair_product`` targets -1/(n-1); ``square_pair_product`` targets 1;
-    ``even_moments`` hold the 2nd/4th/6th marginal moments (bounded);
-    ``higher_moments`` are small mixed moments reported for scale inspection
-    only. The exact per-realization identities are reported as worst-case
-    deviations across all datasets.
-    """
-
-    n_individuals: int
-    n_loci: int
-    replications: int
-    pair_product: MomentEstimate
-    square_pair_product: MomentEstimate
-    even_moments: dict[int, MomentEstimate]
-    higher_moments: dict[str, MomentEstimate]
-    max_abs_col_sum: float
-    max_abs_sumsq_minus_n: float
-
-
-class _RunningMoment:
-    __slots__ = ("total", "total_sq", "count")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.total_sq = 0.0
-        self.count = 0
-
-    def add(self, samples: np.ndarray) -> None:
-        self.total += float(samples.sum())
-        self.total_sq += float((samples * samples).sum())
-        self.count += samples.size
-
-    def result(self) -> MomentEstimate:
-        mean = self.total / self.count
-        var = max(self.total_sq / self.count - mean * mean, 0.0)
-        return MomentEstimate(mean, math.sqrt(var / self.count), self.count)
-
-
-def z_property_suite(dist: GenotypeDistribution, n: int, n_loci: int,
-                     reps: int, rs: RandomSource) -> ZPropertyReport:
-    """Estimate the moment identities of standardized genotypes by Monte Carlo.
-
-    Uses fixed rows (0..3) of each replicate so samples are independent
-    across loci and replicates, giving valid standard errors.
-
-    Columns that come out constant (possible at small n for count-like
-    kinds) cannot be scaled and are excluded; the tested identities are
-    exchangeability statements per non-degenerate column, so conditioning
-    on non-degeneracy leaves them intact.
-    """
-    if n < 5:
-        raise ValueError("need n >= 5 so four distinct rows exist")
-    trackers: dict[str, _RunningMoment] = {
-        key: _RunningMoment()
-        for key in ("z1z2", "z1sq_z2sq", "p2", "p4", "p6",
-                    "z1^3*z2", "z1^2*z2*z3", "z1*z2*z3*z4", "z1^5*z2",
-                    "z1^3*z2^3", "z1^4*z2^2", "z1^4*z2*z3", "z1^3*z2^2*z3",
-                    "z1^3*z2*z3*z4")
-    }
-    max_col_sum = 0.0
-    max_sumsq_dev = 0.0
-    for rep in range(reps):
-        values = sample_genotype_matrix(dist, n, n_loci, rs.spawn(rep)).astype(np.float64)
-        keep = values.std(axis=0) > 0.0
-        z = standardize(values[:, keep]).z
-        max_col_sum = max(max_col_sum, float(np.abs(z.sum(axis=0)).max()))
-        max_sumsq_dev = max(max_sumsq_dev, float(np.abs((z * z).sum(axis=0) - n).max()))
-        z1, z2, z3, z4 = z[0], z[1], z[2], z[3]
-        trackers["z1z2"].add(z1 * z2)
-        trackers["z1sq_z2sq"].add(z1 * z1 * z2 * z2)
-        trackers["p2"].add(z1 * z1)
-        trackers["p4"].add(z1**4)
-        trackers["p6"].add(z1**6)
-        trackers["z1^3*z2"].add(z1**3 * z2)
-        trackers["z1^2*z2*z3"].add(z1**2 * z2 * z3)
-        trackers["z1*z2*z3*z4"].add(z1 * z2 * z3 * z4)
-        trackers["z1^5*z2"].add(z1**5 * z2)
-        trackers["z1^3*z2^3"].add(z1**3 * z2**3)
-        trackers["z1^4*z2^2"].add(z1**4 * z2**2)
-        trackers["z1^4*z2*z3"].add(z1**4 * z2 * z3)
-        trackers["z1^3*z2^2*z3"].add(z1**3 * z2**2 * z3)
-        trackers["z1^3*z2*z3*z4"].add(z1**3 * z2 * z3 * z4)
-    higher_keys = ("z1^3*z2", "z1^2*z2*z3", "z1*z2*z3*z4", "z1^5*z2",
-                   "z1^3*z2^3", "z1^4*z2^2", "z1^4*z2*z3", "z1^3*z2^2*z3",
-                   "z1^3*z2*z3*z4")
-    return ZPropertyReport(
-        n_individuals=n,
-        n_loci=n_loci,
-        replications=reps,
-        pair_product=trackers["z1z2"].result(),
-        square_pair_product=trackers["z1sq_z2sq"].result(),
-        even_moments={2: trackers["p2"].result(),
-                      4: trackers["p4"].result(),
-                      6: trackers["p6"].result()},
-        higher_moments={k: trackers[k].result() for k in higher_keys},
-        max_abs_col_sum=max_col_sum,
-        max_abs_sumsq_minus_n=max_sumsq_dev,
-    )
 
 
 def grm_to_csv(path: str | Path, g: GrmView, max_n: int = 1000) -> None:

@@ -12,12 +12,12 @@ Three routes to the same quantity:
 The quadratic model's weights are written once, in :func:`moment_weights`;
 the second-order estimator's sums over pairs read them too.
 
-The second-order expansion carries two switchable density-squared factors.
-Re-deriving the expansion shows both factors are required for the remainder
-to shrink at the three-halves power of the locus count; the alternative
-variants (closer to a published form of the display) are kept switchable so
-the order-check tests can demonstrate the difference. The defaults are the
-variant selected by those order checks.
+The second-order weights carry two squared-threshold-density factors: one
+on the diagonal-deviation product weight and one on the prevalence-mismatch
+part of the squared off-diagonal weight. Re-deriving the expansion shows both
+are required for the remainder to shrink at the three-halves power of the
+locus count; the order-check tests show that dropping either one (closer to
+a published form of the display) stalls the error decay at quadratic.
 """
 
 from __future__ import annotations
@@ -108,9 +108,7 @@ def first_order_pair_expectation(g_ij: float, design: StudyDesign, eta: float) -
     return eta * pair_moment_slope(design) * g_ij
 
 
-def moment_weights(design: StudyDesign, n_loci: int, *,
-                   diag_product_density_sq: bool = True,
-                   mixing_density_sq: bool = True) -> tuple[float, float, float, float]:
+def moment_weights(design: StudyDesign, n_loci: int) -> tuple[float, float, float, float]:
     """Weights (alpha, beta, gamma, delta) of the quadratic pair-moment model.
 
     In a pair's scaled deviations a and b (:class:`~heritcc.grm.SigmaPair`)
@@ -118,13 +116,11 @@ def moment_weights(design: StudyDesign, n_loci: int, *,
     c2 = beta a_i a_j + gamma b_ij^2 + delta b_ij (a_i + a_j). The
     second-order estimator minimizes its least-squares gap to this model.
 
-    ``diag_product_density_sq`` multiplies beta, the diagonal-deviation
-    product weight, by the squared threshold density;
-    ``mixing_density_sq`` applies the same factor to the prevalence-mismatch
-    part of gamma. Both default to the variant whose error against the exact
-    oracle decays at the three-halves power of the locus count (see the
-    order-check tests); disabling either knocks the decay back to first
-    power.
+    beta, the diagonal-deviation product weight, and the prevalence-mismatch
+    part of gamma both carry the squared threshold density. With both
+    factors the model's error against the exact oracle decays at the
+    three-halves power of the locus count; without either, the order-check
+    tests find it decays at first power.
 
     Raises:
         ValueError: if ``n_loci < 1``.
@@ -139,22 +135,17 @@ def moment_weights(design: StudyDesign, n_loci: int, *,
     mismatch = (p - k) / (k * (1.0 - k))
     return (
         scale * dsq / math.sqrt(n_loci),
-        (scale / n_loci) * (t * t / 4.0) * (dsq if diag_product_density_sq else 1.0),
-        (scale / n_loci) * dsq * (t * t / 2.0 - mismatch * mismatch
-                                  * (dsq if mixing_density_sq else 1.0)),
+        (scale / n_loci) * (t * t / 4.0) * dsq,
+        (scale / n_loci) * dsq * (t * t / 2.0 - mismatch * mismatch * dsq),
         (scale / n_loci) * 0.5 * dsq * (t * t - 1.0 - mismatch * t * density),
     )
 
 
 def second_order_pair_expectation(sp: SigmaPair, design: StudyDesign, eta: float,
-                                  n_loci: int, *,
-                                  diag_product_density_sq: bool = True,
-                                  mixing_density_sq: bool = True) -> float:
+                                  n_loci: int) -> float:
     """Quadratic approximation of the conditional pair moment: the model of
-    :func:`moment_weights`, whose flags it forwards, at one pair."""
-    alpha, beta, gamma, delta = moment_weights(
-        design, n_loci, diag_product_density_sq=diag_product_density_sq,
-        mixing_density_sq=mixing_density_sq)
+    :func:`moment_weights` at one pair."""
+    alpha, beta, gamma, delta = moment_weights(design, n_loci)
     a_i, a_j, b = sp.a_i, sp.a_j, sp.b_ij
     return eta * alpha * b + eta * eta * (beta * a_i * a_j + gamma * b * b
                                           + delta * b * (a_i + a_j))

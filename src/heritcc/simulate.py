@@ -529,6 +529,11 @@ def simulate_case_control_study(heritability: float, population_prevalence: floa
 
 _MAGIC = b"HCCD"
 _VERSION = 1
+# What load_dataset reads from a container; save_dataset writes all of it.
+_HEADER_KEYS = ("version", "arrays", "n_loci", "seed", "population_prevalence",
+                "study_prevalence", "heritability", "population_size", "genotype_kind",
+                "n_cases", "n_controls")
+_ARRAY_NAMES = ("z", "col_means", "col_sds", "w", "y", "indices")
 
 
 def save_dataset(path: str | Path, data: StudyData) -> None:
@@ -580,10 +585,15 @@ def load_dataset(path: str | Path) -> StudyData:
         if len(length) < 8 or fh.tell() + blob_len > size:
             raise ValueError(f"{path}: truncated header ({size} bytes)")
         header = json.loads(fh.read(blob_len))
+        missing = [key for key in _HEADER_KEYS if key not in header]
+        if missing:
+            raise ValueError(f"{path}: header lacks {', '.join(map(repr, missing))}")
         if header["version"] != _VERSION:
             raise ValueError(f"{path}: unsupported container version {header['version']}")
         arrays = {}
         for spec in header["arrays"]:
+            if not {"name", "shape", "dtype"} <= spec.keys():
+                raise ValueError(f"{path}: array entry {spec} lacks a name, shape or dtype")
             name, shape, dtype = spec["name"], tuple(spec["shape"]), np.dtype(spec["dtype"])
             if dtype.hasobject:
                 raise ValueError(f"{path}: array {name!r} has unsupported dtype {dtype}")
@@ -602,6 +612,9 @@ def load_dataset(path: str | Path) -> StudyData:
             fh.readinto(arrays[name])
         if size > fh.tell():
             raise ValueError(f"{path}: {size - fh.tell()} trailing bytes after the last array")
+    missing = [name for name in _ARRAY_NAMES if name not in arrays]
+    if missing:
+        raise ValueError(f"{path}: no array {', '.join(map(repr, missing))}")
     design = design_from_prevalences(
         header["population_prevalence"], header["study_prevalence"]
     )

@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 import pytest
+from _zmoments import z_property_suite
 
 from heritcc.cli import main as cli_main
 from heritcc.experiments import (
@@ -35,7 +36,6 @@ from heritcc.grm import (
     SigmaPair,
     grm_compute,
     mean_square_offdiagonal,
-    z_property_suite,
 )
 from heritcc.moments import (
     exact_pair_expectation,

@@ -49,6 +49,19 @@ class TestExitCodes:
         assert code == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--n-values", "50", "--N-values", "200", "--methods", "first,sceond"],
+        ["bench", "--n-values", "50", "--N-values", "200", "--methods", ""],
+        ["experiment", "--replications", "2", "--threads", "1", "--methods", ","],
+        ["experiment", "--replications", "2", "--threads", "1", "--methods", "first,first"],
+    ])
+    def test_unknown_empty_or_repeated_methods_are_usage_errors(self, capsys, tmp_path, argv):
+        out_flag = "--out-dir" if argv[0] == "experiment" else "--out"
+        code, _, err = _run(capsys, *argv, out_flag, str(tmp_path / "out"))
+        assert code == 2
+        assert "valid: ('first', 'second')" in err
+        assert not any(tmp_path.iterdir())
+
     def test_simulate_zero_loci_exits_1_with_message(self, capsys, tmp_path):
         code, _, err = _run(capsys, "simulate", "--n-loci", "0",
                             "--out", str(tmp_path / "x.bin"))
@@ -224,15 +237,17 @@ class TestExperimentCommand:
         assert code == 1
         assert "missing.cfg" in err and "Traceback" not in err
 
-    def test_config_file_malformed_line_exits_1(self, capsys, tmp_path):
+    def test_config_file_malformed_line_exits_2(self, capsys, tmp_path):
+        # a usage error, like an unknown key
         config = tmp_path / "bad.cfg"
         config.write_text("eta=0.4\nno equals sign here\n")
         code, _, err = _run(
             capsys, "experiment", "--config", str(config),
             "--out-dir", str(tmp_path / "out"),
         )
-        assert code == 1
+        assert code == 2
         assert "no equals sign here" in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_unparsable_value_exits_2(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

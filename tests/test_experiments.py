@@ -2,6 +2,9 @@
 
 import multiprocessing
 import os
+import re
+import signal
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -40,6 +43,10 @@ class TestConfig:
     def test_rejects_bad_methods(self):
         with pytest.raises(ValueError, match="unknown methods"):
             ExperimentConfig(methods=("first", "third"))
+
+    def test_rejects_empty_methods(self):
+        with pytest.raises(ValueError, match=r"no methods given; valid: \('first', 'second'\)"):
+            ExperimentConfig(methods=())
 
     def test_rejects_inverted_prevalences(self):
         with pytest.raises(ValueError):
@@ -213,6 +220,21 @@ class TestPool:
         assert all(blas == ["1", "1", "1"] for _, blas in seen)
         assert experiments._pool_map(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
 
+    def test_worker_killed_while_idle_is_replaced_by_the_next_call(self, monkeypatch):
+        before = _set_caller_environment(monkeypatch)
+        experiments._pool_map(_pid_and_blas_threads, range(2), workers=2)
+        old = _live_workers()
+        os.kill(min(old), signal.SIGKILL)
+        deadline = time.monotonic() + 30.0
+        while not experiments._pool._broken:
+            assert time.monotonic() < deadline, "pool never noticed the dead worker"
+            time.sleep(0.01)
+        seen = experiments._pool_map(_pid_and_blas_threads, range(4), workers=2)
+        assert dict(os.environ) == before
+        assert not {pid for pid, _ in seen} & old
+        assert all(blas == ["1", "1", "1"] for _, blas in seen)
+        assert experiments._pool_map(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
+
     def test_new_worker_count_replaces_the_pool_with_pinned_workers(self, monkeypatch):
         before = _set_caller_environment(monkeypatch)
         experiments._pool_map(_pid_and_blas_threads, range(2), workers=2)
@@ -265,6 +287,15 @@ class TestTiming:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             run_timing([], [10])
+
+    @pytest.mark.parametrize("methods, message", [
+        (("first", "sceond"), "unknown methods ['sceond']"),
+        ((), "no methods given"),
+        (("first", "first"), "methods ['first', 'first'] repeat one"),
+    ])
+    def test_rejects_unknown_empty_or_repeated_methods(self, methods, message):
+        with pytest.raises(ValueError, match=re.escape(f"{message}; valid: ('first', 'second')")):
+            run_timing([20], [50], methods=methods)
 
     def test_methods_take_turns_within_a_grid_point(self, monkeypatch):
         calls = []

@@ -1,10 +1,15 @@
 """Tests for the relationship matrix, its deviations, and the moment suite."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from _zmoments import z_property_suite
 
 from heritcc import grm as grm_module
 from heritcc.grm import (
@@ -16,7 +21,6 @@ from heritcc.grm import (
     mean_square_offdiagonal,
     save_grm,
     sigma_pair,
-    z_property_suite,
 )
 from heritcc.numerics import rng_create
 from heritcc.simulate import (
@@ -327,23 +331,6 @@ class TestZPropertySuite:
         for p in (4, 6):
             assert 0.0 < report.even_moments[p].estimate < 100.0
 
-    def test_higher_moments_reported_with_errors(self):
-        rs = rng_create(19)
-        dist = make_distribution("standard-normal", 1000, rs.spawn(0))
-        report = z_property_suite(dist, n=30, n_loci=1000, reps=10, rs=rs.spawn(1))
-        assert set(report.higher_moments) == {
-            "z1^3*z2", "z1^2*z2*z3", "z1*z2*z3*z4", "z1^5*z2", "z1^3*z2^3",
-            "z1^4*z2^2", "z1^4*z2*z3", "z1^3*z2^2*z3", "z1^3*z2*z3*z4",
-        }
-        for est in report.higher_moments.values():
-            assert est.std_error > 0.0
-
-    def test_rejects_tiny_n(self):
-        rs = rng_create(20)
-        dist = make_distribution("standard-normal", 10, rs.spawn(0))
-        with pytest.raises(ValueError):
-            z_property_suite(dist, n=4, n_loci=10, reps=2, rs=rs)
-
 
 class TestGrmIO:
     def test_csv_roundtrip_values(self, tmp_path):
@@ -411,3 +398,15 @@ class TestGrmIO:
         with pytest.raises(ValueError, match=re.escape(f"{path}: trailing bytes after the "
                                                        "matrix: expected 800 bytes") + ".*got 802$"):
             load_grm(path)
+
+
+class TestLayering:
+    def test_grm_loads_no_other_heritcc_module(self):
+        # the relationship matrix sits below simulation and numerics
+        code = ("import sys, heritcc.grm; "
+                "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'heritcc'))")
+        env = dict(os.environ, PYTHONPATH=str(Path(grm_module.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["heritcc", "heritcc.grm"]

@@ -17,7 +17,7 @@ from heritcc.moments import (
     pair_probabilities,
     second_order_pair_expectation,
 )
-from heritcc.numerics import BivariateCovariance, bvn_rect
+from heritcc.numerics import BivariateCovariance, bvn_rect, std_normal_pdf
 from heritcc.simulate import design_from_prevalences
 
 INF = math.inf
@@ -145,23 +145,14 @@ class TestSecondOrder:
             second_order_pair_expectation(_sp(), DESIGN, 0.5, 0)
 
     def test_is_the_model_of_moment_weights(self):
-        # eta*c1 + eta^2*c2 with the weights of moment_weights, under every
-        # flag setting; the flags reach beta and gamma only
+        # eta*c1 + eta^2*c2 with the weights of moment_weights
         sp, eta, n_loci = _sp(0.8, -0.3, 1.7), 0.6, 400
-        default = moment_weights(DESIGN, n_loci)
-        values = set()
-        for diag_flag in (True, False):
-            for mix_flag in (True, False):
-                flags = {"diag_product_density_sq": diag_flag, "mixing_density_sq": mix_flag}
-                alpha, beta, gamma, delta = moment_weights(DESIGN, n_loci, **flags)
-                assert (alpha, delta) == (default[0], default[3])
-                expected = eta * alpha * sp.b_ij + eta**2 * (
-                    beta * sp.a_i * sp.a_j + gamma * sp.b_ij**2
-                    + delta * sp.b_ij * (sp.a_i + sp.a_j))
-                value = second_order_pair_expectation(sp, DESIGN, eta, n_loci, **flags)
-                assert value == pytest.approx(expected, rel=1e-15)
-                values.add(value)
-        assert len(values) == 4
+        alpha, beta, gamma, delta = moment_weights(DESIGN, n_loci)
+        expected = eta * alpha * sp.b_ij + eta**2 * (
+            beta * sp.a_i * sp.a_j + gamma * sp.b_ij**2
+            + delta * sp.b_ij * (sp.a_i + sp.a_j))
+        value = second_order_pair_expectation(sp, DESIGN, eta, n_loci)
+        assert value == pytest.approx(expected, rel=1e-15)
 
 
 def _order_errors(approx_fn, svals, eta=0.5, n_loci=1):
@@ -204,25 +195,29 @@ class TestTaylorOrders:
         assert 2.6 <= exponent <= 3.4
 
     def test_default_variant_is_the_unique_cubic_one(self):
-        # the order check selects the default: only the variant with both
-        # density-squared factors reaches cubic decay; each alternative is
-        # stuck at quadratic
+        # the order check selects the default: only the model with both
+        # squared-density factors reaches cubic decay; dropping either one,
+        # written as the default plus its one-term difference, is stuck at
+        # quadratic
         svals = [0.4, 0.2, 0.1, 0.05]
+        eta, n_loci = 0.5, 1
+        alpha, beta, _, _ = moment_weights(DESIGN, n_loci)
+        k, p = DESIGN.population_prevalence, DESIGN.study_prevalence
+        dsq = std_normal_pdf(DESIGN.threshold) ** 2
+        mismatch = (p - k) / (k * (1.0 - k))
+        # without the factor on beta, resp. on gamma's prevalence-mismatch part
+        d_beta = beta * (1.0 / dsq - 1.0)
+        d_gamma = alpha / math.sqrt(n_loci) * mismatch**2 * (dsq - 1.0)
         results = {}
-        for diag_flag in (True, False):
-            for mix_flag in (True, False):
-                errs = _order_errors(
-                    lambda sp, s: second_order_pair_expectation(
-                        sp, DESIGN, 0.5, 1,
-                        diag_product_density_sq=diag_flag,
-                        mixing_density_sq=mix_flag,
-                    ),
-                    svals,
-                )
-                results[(diag_flag, mix_flag)] = _fit_exponent(svals, errs)
-        assert results[(True, True)] > 2.6
+        for db in (0.0, d_beta):
+            for dg in (0.0, d_gamma):
+                def approx(sp, s, db=db, dg=dg):
+                    return (second_order_pair_expectation(sp, DESIGN, eta, n_loci)
+                            + eta**2 * (db * sp.a_i * sp.a_j + dg * sp.b_ij**2))
+                results[(db, dg)] = _fit_exponent(svals, _order_errors(approx, svals, eta, n_loci))
+        assert results[(0.0, 0.0)] > 2.6
         for key, exponent in results.items():
-            if key != (True, True):
+            if key != (0.0, 0.0):
                 assert exponent < 2.3
 
     def test_remainder_scaling_in_loci_count(self):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -552,6 +553,26 @@ class TestDatasetContainer:
         expected = sample.indices.shape[0] * 8
         with pytest.raises(ValueError, match=rf"'indices' is truncated: expected "
                                              rf"{expected} bytes, got {expected - 3}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("name", ["genotype_kind", "z", "dtype"])
+    def test_missing_header_key_or_array_is_named(self, tmp_path, name):
+        path, data, header_end, sample = self._saved(tmp_path)
+        header = json.loads(data[12:header_end])
+        body = data[header_end:]
+        if name in header:
+            del header[name]
+            message = f"{path}: header lacks {name!r}"
+        elif name == "z":  # the first array: drop its entry and its bytes
+            header["arrays"] = header["arrays"][1:]
+            body = body[sample.z_study.z.nbytes:]
+            message = f"{path}: no array {name!r}"
+        else:
+            del header["arrays"][1][name]
+            message = f"{path}: array entry {header['arrays'][1]} lacks a name, shape or dtype"
+        blob = json.dumps(header).encode()
+        path.write_bytes(data[:4] + len(blob).to_bytes(8, "little") + blob + body)
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
