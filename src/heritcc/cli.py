@@ -3,12 +3,14 @@ bench / consistency.
 
 Conventions shared by every subcommand:
 
+* one rule for bad input: a flag or config-file value that the library
+  rejects is a usage error, exit 2 with the library's message on stderr,
+  found before anything is printed or written; a runtime failure exits 1
+  with its message on stderr; success exits 0,
 * the fully resolved configuration (defaults included) is printed before any
   work starts,
 * output files are written to a temporary sibling and renamed into place, so
-  interrupted runs never leave partial files,
-* exit code 0 on success, 1 on runtime failures (message on stderr), 2 on
-  usage errors.
+  interrupted runs never leave partial files.
 """
 
 from __future__ import annotations
@@ -19,16 +21,20 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .estimators import estimate_first_order, estimate_second_order
 from .experiments import (
     ExperimentConfig,
-    check_methods,
+    check_timing_grid,
+    check_workers,
+    consistency_configs,
     run_consistency_study,
     run_experiment,
     run_timing,
+    simulate_study,
     write_consistency_csv,
     write_records_csv,
     write_summary_csv,
@@ -54,21 +60,14 @@ from .simulate import (
     design_from_prevalences,
     load_dataset,
     save_dataset,
-    simulate_case_control_study,
 )
 
 __all__ = ["main", "entrypoint"]
 
 
 def _default_threads() -> int:
-    """``HERIT_THREADS`` if set, else the CPUs this process may run on (its
-    affinity mask, where the platform has one), not every CPU of the host."""
-    env = os.environ.get("HERIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    """The CPUs this process may run on (its affinity mask, where the
+    platform has one), not every CPU of the host."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -88,10 +87,19 @@ def _atomic_produce(path: Path, producer) -> None:
         raise
 
 
-def _print_config(name: str, resolved: dict) -> None:
+def _print_config(name: str, settings: dict) -> None:
     print(f"[{name}] resolved configuration:")
-    for key in sorted(resolved):
-        print(f"  {key} = {resolved[key]}")
+    for key in sorted(settings.keys() - {"run", "subcommand", "config"}):
+        print(f"  {key} = {settings[key]}")
+
+
+def _usage(parser: argparse.ArgumentParser, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, a ValueError it raises made a usage error
+    (exit 2)."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 # Keys of an experiment config file; the line key=value is read as the flag
@@ -117,6 +125,20 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
     return flags
 
 
+def _method_list(text: str) -> tuple[str, ...]:
+    """A comma-separated ``--methods`` value; the library checks the names."""
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+def _study_flags(p: argparse.ArgumentParser, seed: int, genotype_kind: str) -> None:
+    """The study flags of simulate, experiment and consistency."""
+    p.add_argument("--eta", type=float, default=0.5)
+    p.add_argument("--K", type=float, default=0.1)
+    p.add_argument("--P", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--genotype-kind", choices=GENOTYPE_KINDS, default=genotype_kind)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heritcc",
@@ -124,18 +146,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    threads = _default_threads()
 
     sim = sub.add_parser("simulate", help="simulate one case-control study")
-    sim.add_argument("--K", dest="population_prevalence", type=float, default=0.1)
-    sim.add_argument("--P", dest="study_prevalence", type=float, default=0.5)
-    sim.add_argument("--eta", type=float, default=0.5)
+    sim.set_defaults(run=_cmd_simulate)
+    _study_flags(sim, seed=0, genotype_kind="binomial-2-p")
     sim.add_argument("--n-loci", type=int, default=10_000)
     sim.add_argument("--target-cases", type=int, default=100)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--genotype-kind", choices=GENOTYPE_KINDS, default="binomial-2-p")
     sim.add_argument("--out", required=True)
 
     grm_p = sub.add_parser("grm", help="relationship matrix from a dataset")
+    grm_p.set_defaults(run=_cmd_grm)
     grm_p.add_argument("--in", dest="input", required=True)
     grm_p.add_argument("--out", required=True)
     grm_p.add_argument("--csv", action="store_true", help="write CSV instead of binary")
@@ -143,98 +164,67 @@ def _build_parser() -> argparse.ArgumentParser:
     grm_p.add_argument("--gamma", type=float, default=0.05)
 
     mom = sub.add_parser("moments", help="pair-moment grid: exact vs approximations")
+    mom.set_defaults(run=_cmd_moments)
     mom.add_argument("--a-i", type=float, nargs="+", default=[0.0])
     mom.add_argument("--a-j", type=float, nargs="+", default=[0.0])
     mom.add_argument("--b-ij", type=float, nargs="+", default=[1.0])
     mom.add_argument("--eta", type=float, nargs="+", default=[0.5])
-    mom.add_argument("--K", dest="population_prevalence", type=float, nargs="+", default=[0.1])
-    mom.add_argument("--P", dest="study_prevalence", type=float, nargs="+", default=[0.5])
-    mom.add_argument("--N", dest="n_loci", type=int, nargs="+", default=[10_000])
+    mom.add_argument("--K", type=float, nargs="+", default=[0.1])
+    mom.add_argument("--P", type=float, nargs="+", default=[0.5])
+    mom.add_argument("--N", type=int, nargs="+", default=[10_000])
     mom.add_argument("--out", required=True)
 
     est = sub.add_parser("estimate", help="estimate heritability from a dataset")
+    est.set_defaults(run=_cmd_estimate)
     est.add_argument("--in", dest="input", required=True)
     est.add_argument("--method", choices=("first", "second", "both"), default="both")
     est.add_argument("--out", help="write a JSON report here (stdout otherwise)")
 
     exp = sub.add_parser("experiment", help="replication study")
+    exp.set_defaults(run=_cmd_experiment)
     exp.add_argument("--config", help="key=value file; explicit flags win")
-    exp.add_argument("--eta", type=float, default=0.5)
-    exp.add_argument("--K", dest="population_prevalence", type=float, default=0.1)
-    exp.add_argument("--P", dest="study_prevalence", type=float, default=0.5)
+    _study_flags(exp, seed=20_260_101, genotype_kind="binomial-2-p")
     exp.add_argument("--n-loci", type=int, default=10_000)
     exp.add_argument("--target-cases", type=int, default=100)
     exp.add_argument("--replications", type=int, default=200)
-    exp.add_argument("--seed", type=int, default=20_260_101)
-    exp.add_argument("--methods", default="first,second",
+    exp.add_argument("--methods", type=_method_list, default="first,second",
                      help="comma-separated subset of first,second")
-    exp.add_argument("--genotype-kind", choices=GENOTYPE_KINDS, default="binomial-2-p")
-    exp.add_argument("--threads", type=int, default=None)
+    exp.add_argument("--threads", type=int, default=threads)
     exp.add_argument("--out-dir", required=True)
 
     bench = sub.add_parser("bench", help="timing grid over study and locus counts")
+    bench.set_defaults(run=_cmd_bench)
     bench.add_argument("--n-values", type=int, nargs="+", default=[100, 1000])
-    bench.add_argument("--N-values", dest="n_loci_values", type=int, nargs="+",
-                       default=[1000, 10_000])
-    bench.add_argument("--methods", default="first,second")
+    bench.add_argument("--N-values", type=int, nargs="+", default=[1000, 10_000])
+    bench.add_argument("--methods", type=_method_list, default="first,second")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", required=True)
 
     cons = sub.add_parser("consistency", help="estimator error along n/N growth path")
-    cons.add_argument("--eta", type=float, default=0.5)
-    cons.add_argument("--K", dest="population_prevalence", type=float, default=0.1)
-    cons.add_argument("--P", dest="study_prevalence", type=float, default=0.5)
+    cons.set_defaults(run=_cmd_consistency)
+    _study_flags(cons, seed=1, genotype_kind="standard-normal")
     cons.add_argument("--ratio-a", type=float, default=0.02)
-    cons.add_argument("--N-values", dest="n_loci_values", type=int, nargs="+",
-                      default=[2000, 4000, 8000])
+    cons.add_argument("--N-values", type=int, nargs="+", default=[2000, 4000, 8000])
     cons.add_argument("--replications", type=int, default=100)
-    cons.add_argument("--seed", type=int, default=1)
-    cons.add_argument("--genotype-kind", choices=GENOTYPE_KINDS, default="standard-normal")
-    cons.add_argument("--threads", type=int, default=None)
+    cons.add_argument("--threads", type=int, default=threads)
     cons.add_argument("--out", required=True)
 
     return parser
 
 
-def _methods(text: str, parser: argparse.ArgumentParser) -> tuple[str, ...]:
-    """The ``--methods`` list; an unknown or empty one is a usage error."""
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    try:
-        check_methods(methods)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return methods
-
-
-def _validate_flags(parser: argparse.ArgumentParser, k: float, p: float,
-                    eta: float | None = None) -> None:
-    """Flag-level validation: bad prevalences or heritability are usage
-    errors (exit 2)."""
-    try:
-        design_from_prevalences(k, p)
-        if eta is not None:
-            LiabilityParams(eta)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _study_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  **fields) -> ExperimentConfig:
+    """The configuration of the study flags and ``fields``, checked by
+    ``ExperimentConfig``."""
+    return _usage(parser, ExperimentConfig, eta_star=args.eta, population_prevalence=args.K,
+                  study_prevalence=args.P, seed=args.seed,
+                  genotype_kind=args.genotype_kind, **fields)
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _validate_flags(parser, args.population_prevalence, args.study_prevalence, args.eta)
-    resolved = {
-        "K": args.population_prevalence, "P": args.study_prevalence,
-        "eta": args.eta, "n_loci": args.n_loci, "target_cases": args.target_cases,
-        "seed": args.seed, "genotype_kind": args.genotype_kind, "out": args.out,
-    }
-    _print_config("simulate", resolved)
-    study = simulate_case_control_study(
-        heritability=args.eta,
-        population_prevalence=args.population_prevalence,
-        study_prevalence=args.study_prevalence,
-        n_loci=args.n_loci,
-        target_cases=args.target_cases,
-        seed=args.seed,
-        genotype_kind=args.genotype_kind,
-    )
+    cfg = _study_config(parser, args, n_loci=args.n_loci, target_cases=args.target_cases)
+    _print_config("simulate", vars(args))
+    study = simulate_study(cfg, cfg.seed)
     _atomic_produce(Path(args.out), lambda tmp: save_dataset(tmp, study))
     sample = study.sample
     print(f"wrote {args.out}: n={sample.y.shape[0]} "
@@ -244,19 +234,12 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 def _cmd_grm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.check_en:
-        try:
-            check_gamma(args.gamma)
-        except ValueError as exc:
-            parser.error(str(exc))
-    resolved = {"in": args.input, "out": args.out, "csv": args.csv,
-                "check_en": args.check_en, "gamma": args.gamma}
-    _print_config("grm", resolved)
+        _usage(parser, check_gamma, args.gamma)
+    _print_config("grm", vars(args))
     data = load_dataset(args.input)
     g = grm_compute(data.sample.z_study)
-    if args.csv:
-        _atomic_produce(Path(args.out), lambda tmp: grm_to_csv(tmp, g))
-    else:
-        _atomic_produce(Path(args.out), lambda tmp: save_grm(tmp, g))
+    export = grm_to_csv if args.csv else save_grm
+    _atomic_produce(Path(args.out), lambda tmp: export(tmp, g))
     print(f"wrote {args.out}: n={g.n_individuals}, n_loci={g.n_loci}")
     if args.check_en:
         res = event_en_check(g, args.gamma)
@@ -267,23 +250,16 @@ def _cmd_grm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    for k in args.population_prevalence:
-        for p in args.study_prevalence:
-            _validate_flags(parser, k, p)
-    if min(args.n_loci) < 1:
-        parser.error(f"--N must be >= 1, got {min(args.n_loci)}")
-    resolved = {
-        "a_i": args.a_i, "a_j": args.a_j, "b_ij": args.b_ij, "eta": args.eta,
-        "K": args.population_prevalence, "P": args.study_prevalence,
-        "N": args.n_loci, "out": args.out,
-    }
-    _print_config("moments", resolved)
+    for k, p in itertools.product(args.K, args.P):
+        _usage(parser, design_from_prevalences, k, p)
+    for eta in args.eta:
+        _usage(parser, LiabilityParams, eta)
+    if min(args.N) < 1:
+        parser.error(f"--N must be >= 1, got {min(args.N)}")
+    _print_config("moments", vars(args))
     header = "a_i,a_j,b_ij,eta,K,P,n_loci,exact,first_order,second_order".split(",")
     rows = []
-    grid = itertools.product(
-        args.a_i, args.a_j, args.b_ij, args.eta,
-        args.population_prevalence, args.study_prevalence, args.n_loci,
-    )
+    grid = itertools.product(args.a_i, args.a_j, args.b_ij, args.eta, args.K, args.P, args.N)
     for a_i, a_j, b_ij, eta, k, p, n_loci in grid:
         design = design_from_prevalences(k, p)
         sp = SigmaPair(a_i=a_i, a_j=a_j, b_ij=b_ij)
@@ -296,9 +272,8 @@ def _cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    resolved = {"in": args.input, "method": args.method, "out": args.out}
-    _print_config("estimate", resolved)
+def _cmd_estimate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _print_config("estimate", vars(args))
     data = load_dataset(args.input)
     g = grm_compute(data.sample.z_study)
     reports = []
@@ -310,17 +285,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         "input": str(args.input),
         "n": data.sample.y.shape[0],
         "n_loci": data.n_loci,
-        "reports": [
-            {
-                "method": r.method,
-                "eta_hat": r.eta_hat,
-                "raw_ratio": r.raw_ratio,
-                "converged": r.converged,
-                "objective_value": r.objective_value,
-                "wall_time": r.wall_time,
-            }
-            for r in reports
-        ],
+        "reports": [asdict(r) for r in reports],
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -329,32 +294,17 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     else:
         print(text)
     for r in reports:
-        print(f"{r.method}: eta_hat={r.eta_hat:.6f} (wall {r.wall_time:.3f}s)")
+        print(f"{r.method}: eta_hat={r.eta_hat:.6f}")
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    methods = _methods(args.methods, parser)
-    threads = args.threads if args.threads else _default_threads()
-    try:
-        cfg = ExperimentConfig(
-            eta_star=args.eta,
-            population_prevalence=args.population_prevalence,
-            study_prevalence=args.study_prevalence,
-            n_loci=args.n_loci,
-            target_cases=args.target_cases,
-            replications=args.replications,
-            seed=args.seed,
-            methods=methods,
-            genotype_kind=args.genotype_kind,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    resolved = dict(cfg.as_dict())
-    resolved["threads"] = threads
-    resolved["out_dir"] = args.out_dir
-    _print_config("experiment", resolved)
-    result = run_experiment(cfg, workers=threads)
+    cfg = _study_config(parser, args, n_loci=args.n_loci, target_cases=args.target_cases,
+                        replications=args.replications, methods=args.methods)
+    _usage(parser, check_workers, args.threads)
+    _print_config("experiment", cfg.as_dict() | {"threads": args.threads,
+                                                 "out_dir": args.out_dir})
+    result = run_experiment(cfg, workers=args.threads)
     out_dir = Path(args.out_dir)
     _atomic_produce(out_dir / "records.csv", lambda tmp: write_records_csv(tmp, result))
     _atomic_produce(out_dir / "summary.csv", lambda tmp: write_summary_csv(tmp, result))
@@ -366,12 +316,10 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    methods = _methods(args.methods, parser)
-    resolved = {"n_values": args.n_values, "N_values": args.n_loci_values,
-                "methods": methods, "seed": args.seed, "out": args.out}
-    _print_config("bench", resolved)
-    rows = run_timing(args.n_values, args.n_loci_values, methods, seed=args.seed)
-    meta = {"seed": args.seed, "methods": ",".join(methods)}
+    _usage(parser, check_timing_grid, args.n_values, args.N_values, args.methods)
+    _print_config("bench", vars(args))
+    rows = run_timing(args.n_values, args.N_values, args.methods, seed=args.seed)
+    meta = {"seed": args.seed, "methods": ",".join(args.methods)}
     _atomic_produce(Path(args.out), lambda tmp: write_timing_csv(tmp, rows, meta))
     for row in rows:
         print(f"n={row.n} n_loci={row.n_loci} {row.method}: {row.seconds:.3f}s")
@@ -380,27 +328,14 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_consistency(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _validate_flags(parser, args.population_prevalence, args.study_prevalence, args.eta)
-    threads = args.threads if args.threads else _default_threads()
-    resolved = {
-        "eta": args.eta, "K": args.population_prevalence, "P": args.study_prevalence,
-        "ratio_a": args.ratio_a, "N_values": args.n_loci_values,
-        "replications": args.replications, "seed": args.seed,
-        "genotype_kind": args.genotype_kind, "threads": threads, "out": args.out,
-    }
-    _print_config("consistency", resolved)
-    rows = run_consistency_study(
-        eta_star=args.eta,
-        population_prevalence=args.population_prevalence,
-        study_prevalence=args.study_prevalence,
-        ratio_a=args.ratio_a,
-        n_loci_values=args.n_loci_values,
-        reps=args.replications,
-        seed=args.seed,
-        genotype_kind=args.genotype_kind,
-        workers=threads,
-    )
-    meta = {k: resolved[k] for k in ("eta", "K", "P", "ratio_a", "replications", "seed")}
+    study = dict(eta_star=args.eta, population_prevalence=args.K, study_prevalence=args.P,
+                 ratio_a=args.ratio_a, n_loci_values=args.N_values,
+                 reps=args.replications, seed=args.seed, genotype_kind=args.genotype_kind)
+    _usage(parser, consistency_configs, **study)
+    _usage(parser, check_workers, args.threads)
+    _print_config("consistency", vars(args))
+    rows = run_consistency_study(**study, workers=args.threads)
+    meta = {k: vars(args)[k] for k in ("eta", "K", "P", "ratio_a", "replications", "seed")}
     _atomic_produce(Path(args.out), lambda tmp: write_consistency_csv(tmp, rows, meta))
     for row in rows:
         print(f"n_loci={row.n_loci} n~{row.target_n}: rmse={row.rmse:.4f} sd={row.sd:.4f}")
@@ -421,21 +356,7 @@ def main(argv: list[str] | None = None) -> int:
             # command line's own flags, parsed later, win
             at = argv.index(args.subcommand) + 1
             args = parser.parse_args(argv[:at] + _config_flags(args.config, parser) + argv[at:])
-        if args.subcommand == "simulate":
-            return _cmd_simulate(args, parser)
-        if args.subcommand == "grm":
-            return _cmd_grm(args, parser)
-        if args.subcommand == "moments":
-            return _cmd_moments(args, parser)
-        if args.subcommand == "estimate":
-            return _cmd_estimate(args)
-        if args.subcommand == "experiment":
-            return _cmd_experiment(args, parser)
-        if args.subcommand == "bench":
-            return _cmd_bench(args, parser)
-        if args.subcommand == "consistency":
-            return _cmd_consistency(args, parser)
-        raise AssertionError("unreachable")  # pragma: no cover
+        return args.run(args, parser)
     except SystemExit as exc:  # usage errors, --version
         return int(exc.code or 0)
     except (OSError, ValueError) as exc:

@@ -26,7 +26,6 @@ the first-order one. The dense per-pair pieces remain as the definition that
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,6 @@ class EstimateReport:
     raw_ratio: float | None
     converged: bool
     objective_value: float | None
-    wall_time: float
 
 
 def _clamp_unit(x: float) -> float:
@@ -96,7 +94,6 @@ def estimate_first_order(sample: AscertainedSample, g: GrmView,
         ValueError: if the study has fewer than two individuals or every
             off-diagonal relatedness entry is zero (degenerate design).
     """
-    start = time.perf_counter()
     w = _checked_weights(sample, g)
     num, den_sq = _pair_sums(w, g.g)
     slope = pair_moment_slope(design)
@@ -109,7 +106,6 @@ def estimate_first_order(sample: AscertainedSample, g: GrmView,
         raw_ratio=raw,
         converged=True,
         objective_value=None,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -232,7 +228,6 @@ def estimate_second_order(sample: AscertainedSample, g: GrmView,
     if n_loci != g.n_loci:
         raise ValueError(f"n_loci {n_loci} does not match the relationship matrix's "
                          f"{g.n_loci} loci")
-    start = time.perf_counter()
     poly = _objective_coefficients(sample, g, design)[::-1]
     converged = bool(np.isfinite(poly).all())
     candidates = np.array([0.0, 1.0])
@@ -247,5 +242,4 @@ def estimate_second_order(sample: AscertainedSample, g: GrmView,
         raw_ratio=None,
         converged=converged,
         objective_value=float(values[best]),
-        wall_time=time.perf_counter() - start,
     )

@@ -37,6 +37,7 @@ from .simulate import (
     GENOTYPE_KINDS,
     AscertainedSample,
     LiabilityParams,
+    StudyData,
     _centered_w,
     design_from_prevalences,
     make_distribution,
@@ -53,7 +54,11 @@ __all__ = [
     "run_experiment",
     "run_timing",
     "run_consistency_study",
+    "consistency_configs",
+    "simulate_study",
     "check_methods",
+    "check_timing_grid",
+    "check_workers",
     "write_table",
     "write_records_csv",
     "read_records_csv",
@@ -143,6 +148,12 @@ def check_methods(methods) -> None:
         raise ValueError(f"methods {list(methods)} repeat one; valid: {METHODS}")
 
 
+def check_workers(workers: int) -> None:
+    """Raise ValueError unless ``workers`` counts at least one process."""
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One replication study: generative parameters plus execution knobs."""
@@ -193,19 +204,23 @@ def _replication_seed_stream(seed: int, rep_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def simulate_study(cfg: ExperimentConfig, seed: int) -> StudyData:
+    """Simulate one study of ``cfg``'s design and sizes from ``seed``."""
+    return simulate_case_control_study(
+        heritability=cfg.eta_star,
+        population_prevalence=cfg.population_prevalence,
+        study_prevalence=cfg.study_prevalence,
+        n_loci=cfg.n_loci,
+        target_cases=cfg.target_cases,
+        seed=seed,
+        genotype_kind=cfg.genotype_kind,
+    )
+
+
 def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
     """Simulate one study and run the configured estimators on it."""
-    rep_seed = _replication_seed_stream(cfg.seed, rep_index)
     try:
-        study = simulate_case_control_study(
-            heritability=cfg.eta_star,
-            population_prevalence=cfg.population_prevalence,
-            study_prevalence=cfg.study_prevalence,
-            n_loci=cfg.n_loci,
-            target_cases=cfg.target_cases,
-            seed=rep_seed,
-            genotype_kind=cfg.genotype_kind,
-        )
+        study = simulate_study(cfg, _replication_seed_stream(cfg.seed, rep_index))
         sample = study.sample
         g = grm_compute(sample.z_study)
         eta_hat: dict[str, float] = {}
@@ -278,7 +293,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     ``workers > 1`` fans replications out to a process pool; scheduling never
     changes the records because each replication derives its own stream.
+    ``workers`` below 1 raises ValueError.
     """
+    check_workers(workers)
     records = _pool_map(functools.partial(run_replication, cfg),
                         list(range(cfg.replications)), workers)
     records.sort(key=lambda r: r.rep_index)
@@ -323,6 +340,19 @@ def _run_estimation(raw, sample, design, n_loci: int, method: str) -> None:
         estimate_second_order(sample, g, design, n_loci)
 
 
+def check_timing_grid(n_values: list[int], n_loci_values: list[int],
+                      methods: tuple[str, ...]) -> None:
+    """Raise ValueError naming a bad value: an empty grid, a study size below
+    2, a locus count below 1, or methods :func:`check_methods` rejects."""
+    if not n_values or not n_loci_values:
+        raise ValueError("timing grids must be nonempty")
+    if min(n_values) < 2:
+        raise ValueError(f"study sizes must be >= 2, got {min(n_values)}")
+    if min(n_loci_values) < 1:
+        raise ValueError(f"locus counts must be >= 1, got {min(n_loci_values)}")
+    check_methods(methods)
+
+
 def run_timing(n_values: list[int], n_loci_values: list[int],
                methods: tuple[str, ...] = ("first", "second"),
                seed: int = 0, repeats: int = 3) -> list[TimingRow]:
@@ -331,11 +361,10 @@ def run_timing(n_values: list[int], n_loci_values: list[int],
     Timed work: standardize + relationship matrix + estimator, matching the
     cost of producing one estimate from raw study genotypes. Within a grid
     point the methods take turns, one repeat each, so a drift in host speed
-    lands on every method alike rather than on whichever ran later.
+    lands on every method alike rather than on whichever ran later. The grid
+    is checked by :func:`check_timing_grid` before anything runs.
     """
-    if not n_values or not n_loci_values:
-        raise ValueError("timing grids must be nonempty")
-    check_methods(methods)
+    check_timing_grid(n_values, n_loci_values, methods)
     rows = []
     for n in n_values:
         for n_loci in n_loci_values:
@@ -376,6 +405,27 @@ class ConsistencyRow:
 _CONSISTENCY_COLUMNS = [f.name for f in fields(ConsistencyRow) if f.name != "first_error"]
 
 
+def consistency_configs(eta_star: float, population_prevalence: float,
+                        study_prevalence: float, ratio_a: float,
+                        n_loci_values: list[int], reps: int, seed: int,
+                        genotype_kind: str = "standard-normal") -> list[ExperimentConfig]:
+    """The replication study of each locus count of
+    :func:`run_consistency_study`; raises ValueError for a ``ratio_a`` that
+    is not positive and for what :class:`ExperimentConfig` rejects."""
+    if not ratio_a > 0:
+        raise ValueError(f"ratio_a must be > 0, got {ratio_a}")
+    return [
+        ExperimentConfig(
+            eta_star=eta_star, population_prevalence=population_prevalence,
+            study_prevalence=study_prevalence, n_loci=n_loci,
+            target_cases=max(2, round(round(ratio_a * n_loci) * study_prevalence)),
+            replications=reps, seed=seed + n_loci, methods=("first",),
+            genotype_kind=genotype_kind,
+        )
+        for n_loci in n_loci_values
+    ]
+
+
 def run_consistency_study(eta_star: float, population_prevalence: float,
                           study_prevalence: float, ratio_a: float,
                           n_loci_values: list[int], reps: int, seed: int,
@@ -388,18 +438,13 @@ def run_consistency_study(eta_star: float, population_prevalence: float,
     n/n_loci reference. Continuous genotypes by default: the smallest studies
     on the path make constant count-like columns likely. A locus count whose
     replications all fail gives a row with ``reps`` 0, NaN statistics and
-    the first replication's error in ``first_error``.
+    the first replication's error in ``first_error``. Bad parameters raise
+    ValueError (see :func:`consistency_configs`) before anything runs.
     """
     rows = []
-    for n_loci in n_loci_values:
-        target_n = round(ratio_a * n_loci)
-        cfg = ExperimentConfig(
-            eta_star=eta_star, population_prevalence=population_prevalence,
-            study_prevalence=study_prevalence, n_loci=n_loci,
-            target_cases=max(2, round(target_n * study_prevalence)),
-            replications=reps, seed=seed + n_loci, methods=("first",),
-            genotype_kind=genotype_kind,
-        )
+    for cfg in consistency_configs(eta_star, population_prevalence, study_prevalence,
+                                   ratio_a, n_loci_values, reps, seed, genotype_kind):
+        n_loci, target_n = cfg.n_loci, round(ratio_a * cfg.n_loci)
         # a failed replication is left out of its row, not fatal
         records = run_experiment(cfg, workers).records
         ok = [r for r in records if r.error is None]

@@ -75,8 +75,7 @@ def ascertained_pair_ratio(p_both_cases: float, p_both_controls: float,
     discordant pairs; selection keeps cases surely and controls with the
     thinning probability, which weights the three joint probabilities.
     """
-    k, p = design.population_prevalence, design.study_prevalence
-    r = k * (1.0 - p) / (p * (1.0 - k))
+    k, p, r = design.population_prevalence, design.study_prevalence, design.p_control
     numerator = (
         (1.0 - p) / p * p_both_cases
         - r * p_discordant

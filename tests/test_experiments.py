@@ -123,6 +123,11 @@ class TestRunExperiment:
         assert result.summaries["first"].n_ok == SMOKE.replications - 1
         assert np.isnan(result.records[2].mean_sq_offdiag)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_worker_count_below_1(self, workers):
+        with pytest.raises(ValueError, match=f"worker count must be >= 1, got {workers}"):
+            run_experiment(SMOKE, workers=workers)
+
     def test_record_carries_the_off_diagonal_mean_square(self):
         record = run_replication(SMOKE, 1)
         study = simulate_case_control_study(
@@ -288,6 +293,16 @@ class TestTiming:
         with pytest.raises(ValueError):
             run_timing([], [10])
 
+    @pytest.mark.parametrize("n_values, n_loci_values, message", [
+        ([20, 1], [50], "study sizes must be >= 2, got 1"),
+        ([0], [50], "study sizes must be >= 2, got 0"),
+        ([20], [50, 0], "locus counts must be >= 1, got 0"),
+    ])
+    def test_rejects_study_sizes_below_2_and_locus_counts_below_1(self, n_values,
+                                                                  n_loci_values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_timing(n_values, n_loci_values)
+
     @pytest.mark.parametrize("methods, message", [
         (("first", "sceond"), "unknown methods ['sceond']"),
         ((), "no methods given"),
@@ -346,6 +361,11 @@ class TestConsistencyStudy:
             ratio_a=0.05, n_loci_values=[400], reps=4, seed=17,
         )
         assert rows[0].reps == 3
+
+    @pytest.mark.parametrize("ratio_a", [0.0, -1.0])
+    def test_rejects_nonpositive_ratio(self, ratio_a):
+        with pytest.raises(ValueError, match=re.escape(f"ratio_a must be > 0, got {ratio_a}")):
+            run_consistency_study(0.5, 0.2, 0.5, ratio_a, [400], 1, 3)
 
     def test_one_usable_replication_gives_zero_sd_without_warnings(self):
         # as summarize_records does for one value
