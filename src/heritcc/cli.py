@@ -52,6 +52,7 @@ from .grm import (
 from .moments import (
     exact_pair_expectation,
     first_order_pair_expectation,
+    pair_covariance,
     second_order_pair_expectation,
 )
 from .simulate import (
@@ -254,18 +255,18 @@ def _cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         _usage(parser, design_from_prevalences, k, p)
     for eta in args.eta:
         _usage(parser, LiabilityParams, eta)
-    if min(args.N) < 1:
-        parser.error(f"--N must be >= 1, got {min(args.N)}")
+    pairs = [SigmaPair(a_i=a_i, a_j=a_j, b_ij=b_ij)
+             for a_i, a_j, b_ij in itertools.product(args.a_i, args.a_j, args.b_ij)]
+    for sp, eta, n_loci in itertools.product(pairs, args.eta, args.N):
+        _usage(parser, pair_covariance, sp, eta, n_loci)
     _print_config("moments", vars(args))
     header = "a_i,a_j,b_ij,eta,K,P,n_loci,exact,first_order,second_order".split(",")
     rows = []
-    grid = itertools.product(args.a_i, args.a_j, args.b_ij, args.eta, args.K, args.P, args.N)
-    for a_i, a_j, b_ij, eta, k, p, n_loci in grid:
+    for sp, eta, k, p, n_loci in itertools.product(pairs, args.eta, args.K, args.P, args.N):
         design = design_from_prevalences(k, p)
-        sp = SigmaPair(a_i=a_i, a_j=a_j, b_ij=b_ij)
-        rows.append((a_i, a_j, b_ij, eta, k, p, n_loci,
+        rows.append((sp.a_i, sp.a_j, sp.b_ij, eta, k, p, n_loci,
                      exact_pair_expectation(sp, design, eta, n_loci),
-                     first_order_pair_expectation(b_ij / math.sqrt(n_loci), design, eta),
+                     first_order_pair_expectation(sp.b_ij / math.sqrt(n_loci), design, eta),
                      second_order_pair_expectation(sp, design, eta, n_loci)))
     _atomic_produce(Path(args.out), lambda tmp: write_table(tmp, header, rows))
     print(f"wrote {args.out}: {len(rows)} grid points")

@@ -2,8 +2,9 @@
 
 Three routes to the same quantity:
 
-* an exact evaluation that integrates the latent bivariate normal over the
-  threshold-cut regions and applies the selection weighting,
+* an exact evaluation that takes the both-case and both-control orthants of
+  the latent bivariate normal from one quadrature and applies the selection
+  weighting,
 * a first-order (linear in relatedness) approximation whose slope is a
   closed-form constant of the design,
 * a second-order approximation that also uses the diagonal deviations of the
@@ -25,10 +26,11 @@ from __future__ import annotations
 import math
 
 from .grm import SigmaPair
-from .numerics import BivariateCovariance, bvn_rect, std_normal_pdf
+from .numerics import BivariateCovariance, bvn_orthants, std_normal_pdf
 from .simulate import StudyDesign
 
 __all__ = [
+    "pair_covariance",
     "pair_probabilities",
     "ascertained_pair_ratio",
     "exact_pair_expectation",
@@ -38,30 +40,41 @@ __all__ = [
     "second_order_pair_expectation",
 ]
 
-_INF = math.inf
+
+def pair_covariance(sp: SigmaPair, eta: float, n_loci: int) -> BivariateCovariance:
+    """The pair's latent covariance, rebuilt from its scaled deviations:
+    1 + eta a / sqrt(n_loci) on the diagonal, eta b_ij / sqrt(n_loci) off it.
+
+    Raises:
+        ValueError: if ``n_loci < 1`` or the covariance is not positive
+            definite.
+    """
+    if n_loci < 1:
+        raise ValueError(f"n_loci must be >= 1, got {n_loci}")
+    root = math.sqrt(n_loci)
+    return BivariateCovariance(
+        v11=1.0 + eta * sp.a_i / root,
+        v22=1.0 + eta * sp.a_j / root,
+        v12=eta * sp.b_ij / root,
+    )
 
 
 def pair_probabilities(sp: SigmaPair, design: StudyDesign, eta: float,
                        n_loci: int) -> tuple[float, float, float]:
     """Exact joint phenotype probabilities for one pair.
 
-    Reconstructs the pair's latent covariance from the scaled deviations,
-    then integrates the bivariate normal over the regions cut at the
-    threshold. The discordant probability is taken as the complement so the
-    three regions partition exactly.
+    Both-case and both-control are the upper and lower orthants of the
+    pair's latent bivariate normal at the standardized thresholds, from one
+    :func:`~heritcc.numerics.bvn_orthants` quadrature. The discordant
+    probability is taken as the complement so the three partition exactly.
 
     Raises:
-        ValueError: if the reconstructed covariance is not positive definite.
+        ValueError: as :func:`pair_covariance`.
     """
-    root = math.sqrt(n_loci)
-    cov = BivariateCovariance(
-        v11=1.0 + eta * sp.a_i / root,
-        v22=1.0 + eta * sp.a_j / root,
-        v12=eta * sp.b_ij / root,
-    )
+    cov = pair_covariance(sp, eta, n_loci)
     t = design.threshold
-    p_both_cases = bvn_rect(t, _INF, t, _INF, cov)
-    p_both_controls = bvn_rect(-_INF, t, -_INF, t, cov)
+    p_both_cases, p_both_controls = bvn_orthants(
+        t / math.sqrt(cov.v11), t / math.sqrt(cov.v22), cov.correlation)
     p_discordant = max(0.0, 1.0 - p_both_cases - p_both_controls)
     return p_both_cases, p_both_controls, p_discordant
 

@@ -1,10 +1,12 @@
-"""Scalar Gaussian functions, bivariate-normal rectangle probabilities, and
-seedable random sources.
+"""Scalar Gaussian functions, bivariate-normal orthant and rectangle
+probabilities, and seedable random sources.
 
-Everything in this module is pure and deterministic.  The bivariate rectangle
-probability is the numerical ground truth against which the Taylor
+Everything in this module is pure and deterministic.  The orthant pair of
+:func:`bvn_orthants` is the numerical ground truth against which the Taylor
 approximations in :mod:`heritcc.moments` are validated, so it is pinned to an
-absolute accuracy far below 1e-10.
+absolute accuracy far below 1e-10.  Both orthants come from one quadrature;
+:func:`bvn_rect`, four such corners per rectangle, is kept as the tests'
+independent route.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_cdf",
     "std_normal_quantile",
+    "bvn_orthants",
     "bvn_rect",
     "rng_create",
 ]
@@ -131,13 +134,12 @@ _GL20 = (
 )
 
 
-def _bvn_upper(h: float, k: float, r: float) -> float:
-    """P(X > h, Y > k) for standard bivariate normal with correlation ``r``.
+def _bvn_quadrature(h: float, k: float, r: float) -> float:
+    """The quadrature part of P(X > h, Y > k), correlation ``r``.
 
-    Quadrature of the correlation-path integrand (the derivative of the joint
-    probability with respect to the correlation is the joint density), with a
-    separate expansion near |r| = 1 where that path becomes stiff.  Absolute
-    error is a few ulps, comfortably below the 1e-10 contract.
+    It reads ``h`` and ``k`` only through hk, h^2 + k^2 and (h -/+ k)^2, so
+    it is the same bits at (-h, -k): the two orthants share it and differ
+    only in the closing terms of :func:`_bvn_close` (Genz 2004).
     """
     if abs(r) < 0.3:
         pts, wts = _GL6
@@ -155,8 +157,7 @@ def _bvn_upper(h: float, k: float, r: float) -> float:
             for sgn in (-1.0, 1.0):
                 sn = math.sin(0.5 * asr * (sgn * x + 1.0))
                 bvn += w * math.exp((sn * hk - hs) / (1.0 - sn * sn))
-        bvn = bvn * asr / (2.0 * two_pi) + std_normal_cdf(-h) * std_normal_cdf(-k)
-        return min(1.0, max(0.0, bvn))
+        return bvn * asr / (2.0 * two_pi)
     # |r| >= 0.925: integrate the complement against the near-singular axis.
     if r < 0.0:
         k = -k
@@ -187,14 +188,44 @@ def _bvn_upper(h: float, k: float, r: float) -> float:
                     sp = 1.0 + c * xs * (1.0 + d * xs)
                     ep = math.exp(-0.5 * hk * (1.0 - rs) / (1.0 + rs)) / rs
                     bvn += half_a * w * math.exp(asr1) * (ep - sp)
-        bvn = -bvn / two_pi
-    if r > 0.0:
-        bvn += std_normal_cdf(-max(h, k))
+    return -bvn / two_pi
+
+
+def _bvn_close(q: float, h: float, k: float, r: float) -> float:
+    """P(X > h, Y > k) from its quadrature part ``q``."""
+    if abs(r) < 0.925:
+        bvn = q + std_normal_cdf(-h) * std_normal_cdf(-k)
+    elif r > 0.0:
+        bvn = q + std_normal_cdf(-max(h, k))
     else:
-        bvn = -bvn
-        if k > h:
-            bvn += std_normal_cdf(k) - std_normal_cdf(h)
+        bvn = -q
+        if -k > h:
+            bvn += std_normal_cdf(-k) - std_normal_cdf(h)
     return min(1.0, max(0.0, bvn))
+
+
+def _bvn_upper(h: float, k: float, r: float) -> float:
+    """P(X > h, Y > k) for standard bivariate normal with correlation ``r``.
+
+    Quadrature of the correlation-path integrand (the derivative of the joint
+    probability with respect to the correlation is the joint density), with a
+    separate expansion near |r| = 1 where that path becomes stiff.  Absolute
+    error is a few ulps, comfortably below the 1e-10 contract.
+    """
+    return _bvn_close(_bvn_quadrature(h, k, r), h, k, r)
+
+
+def bvn_orthants(h: float, k: float, r: float) -> tuple[float, float]:
+    """``(P(X > h, Y > k), P(X < h, Y < k))`` for standard bivariate normal
+    ``(X, Y)`` with correlation ``r``, from one quadrature.
+
+    ``h`` and ``k`` are clipped at +/-8.5, as :func:`bvn_rect` clips its
+    bounds. Each orthant is the bits of ``_bvn_upper`` at (h, k) and at
+    (-h, -k).
+    """
+    h, k = _clip_standardized(h), _clip_standardized(k)
+    q = _bvn_quadrature(h, k, r)
+    return _bvn_close(q, h, k, r), _bvn_close(q, -h, -k, r)
 
 
 def _clip_standardized(x: float) -> float:

@@ -358,6 +358,9 @@ def _draw_population(dist: GenotypeDistribution, n_population: int, n_loci: int,
         # binomial: columns of count >= 1 and >= 2; rademacher: columns of +1
         hits = np.zeros((len(compares), n_loci), dtype=np.int64)
         hit = np.empty((block_rows, n_loci), dtype=bool)
+        # one block's column counts, in the narrowest integer that holds them
+        block_count = (np.uint8 if block_rows <= 0xFF else
+                       np.uint16 if block_rows <= 0xFFFF else np.int64)
     for lo in range(0, n_population, block_rows):
         hi = min(lo + block_rows, n_population)
         x = buf[1:hi - lo + 1]
@@ -374,7 +377,7 @@ def _draw_population(dist: GenotypeDistribution, n_population: int, n_loci: int,
             for k, (compare, threshold) in enumerate(compares):
                 compare(x, threshold, out=h)
                 raw.planes[k, lo:hi] = np.packbits(h, axis=1)
-                hits[k] += h.sum(axis=0)
+                hits[k] += np.add.reduce(h.view(np.uint8), axis=0, dtype=block_count)
     if normal:
         return raw, col_sum, col_sumsq
     if dist.kind == "binomial-2-p":

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heritcc import numerics
 from heritcc.grm import SigmaPair
 from heritcc.moments import (
     ascertained_pair_ratio,
     exact_pair_expectation,
     first_order_pair_expectation,
     moment_weights,
+    pair_covariance,
     pair_moment_slope,
     pair_probabilities,
     second_order_pair_expectation,
@@ -76,6 +78,48 @@ class TestExactOracle:
     def test_rejects_non_positive_definite_reconstruction(self):
         with pytest.raises(ValueError):
             exact_pair_expectation(_sp(0.0, 0.0, 3.0), DESIGN, eta=1.0, n_loci=4)
+
+    def test_pair_covariance_rebuilds_and_rejects(self):
+        cov = pair_covariance(_sp(0.9, -0.4, 1.1), 0.6, 400)
+        assert (cov.v11, cov.v22, cov.v12) == (1.0 + 0.6 * 0.9 / 20.0, 1.0 + 0.6 * -0.4 / 20.0,
+                                               0.6 * 1.1 / 20.0)
+        for n_loci in (0, -3):
+            with pytest.raises(ValueError, match=f"n_loci must be >= 1, got {n_loci}"):
+                pair_covariance(_sp(), 0.5, n_loci)
+        with pytest.raises(ValueError, match="not positive definite"):
+            pair_covariance(_sp(0.0, 0.0, 1000.0), 0.5, 1)
+        with pytest.raises(ValueError, match="variances must be positive"):
+            pair_covariance(_sp(-200.0, 0.0, 0.0), 0.5, 1)
+
+    def test_probabilities_match_four_corner_rectangles(self):
+        # the orthant pair against bvn_rect's four corners per region, across
+        # prevalences, deviations of both signs and correlations near +/-1
+        for k in (0.001, 0.01, 0.1, 0.3, 0.5):
+            design = design_from_prevalences(k, max(k, 0.5))
+            t = design.threshold
+            for sp, eta, n_loci in ((_sp(), 0.5, 100), (_sp(0.9, -0.4, 1.1), 0.6, 400),
+                                    (_sp(-1.8, 1.3, -2.7), 0.9, 100),
+                                    (_sp(0.0, 0.0, 5.0), 0.9, 100), (_sp(0.2, 0.1, 9.9), 0.95, 100),
+                                    (_sp(0.0, 0.0, -9.9), 0.95, 100),
+                                    (_sp(1.5, -1.5, 2.0), 0.3, 10**6)):
+                cov = pair_covariance(sp, eta, n_loci)
+                both_cases = bvn_rect(t, INF, t, INF, cov)
+                both_controls = bvn_rect(-INF, t, -INF, t, cov)
+                rect = (both_cases, both_controls,
+                        max(0.0, 1.0 - both_cases - both_controls))
+                got = pair_probabilities(sp, design, eta, n_loci)
+                assert max(abs(a - b) for a, b in zip(got, rect)) <= 1e-15
+
+    def test_one_quadrature_per_exact_moment(self, monkeypatch):
+        # both orthants share one quadrature: no rectangle corners
+        calls = []
+        quadrature = numerics._bvn_quadrature
+        monkeypatch.setattr(numerics, "_bvn_quadrature",
+                            lambda *args: calls.append(args) or quadrature(*args))
+        for sp in (_sp(), _sp(0.9, -0.4, 1.1), _sp(0.3, 0.3, -9.9)):
+            before = len(calls)
+            exact_pair_expectation(sp, DESIGN, 0.95, 100)
+            assert len(calls) == before + 1
 
     def test_symmetric_in_diagonal_deviations(self):
         a = exact_pair_expectation(_sp(0.8, -0.3, 1.0), DESIGN, eta=0.5, n_loci=200)

@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from heritcc import numerics
 from heritcc.numerics import (
     BivariateCovariance,
+    bvn_orthants,
     bvn_rect,
     rng_create,
     std_normal_cdf,
@@ -198,6 +200,45 @@ class TestBvnRect:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             bvn_rect(1.0, -1.0, 0.0, 1.0, _identity_cov())
+
+
+# one correlation in each quadrature branch (GL6, GL12, GL20, |r| >= 0.925),
+# at both signs, the branch edges, and r = +/-1
+_BRANCH_CORRELATIONS = [0.0, 0.12, -0.12, 0.3, -0.3, 0.55, -0.55, 0.75, -0.75, 0.9, -0.9,
+                        0.925, -0.925, 0.97, -0.97, 1.0 - 1e-9, -1.0 + 1e-9, 1.0, -1.0]
+# equal and unequal thresholds, both signs, and the +/-8.5 clip
+_THRESHOLDS = [(0.0, 0.0), (1.2816, 1.2816), (1.2816, 0.3), (-0.7, 2.1), (2.9, -2.9),
+               (-1.5, -0.4), (8.5, 1.0), (-8.5, 0.6), (8.5, -8.5), (-8.5, -8.5), (8.5, 8.5)]
+
+
+class TestBvnOrthants:
+    @pytest.mark.parametrize("r", _BRANCH_CORRELATIONS)
+    def test_bits_of_the_upper_orthant_at_both_sign_flips(self, r):
+        for h, k in _THRESHOLDS:
+            assert bvn_orthants(h, k, r) == (numerics._bvn_upper(h, k, r),
+                                             numerics._bvn_upper(-h, -k, r))
+
+    @pytest.mark.parametrize("r", _BRANCH_CORRELATIONS)
+    def test_thresholds_beyond_the_clip_read_as_the_clip(self, r):
+        for h, k in ((9.0, 1.0), (-40.0, 0.6), (1e300, -1e300), (INF, -INF)):
+            clipped = (max(-8.5, min(8.5, h)), max(-8.5, min(8.5, k)))
+            assert bvn_orthants(h, k, r) == bvn_orthants(*clipped, r)
+
+    @pytest.mark.parametrize("r", [x for x in _BRANCH_CORRELATIONS if abs(x) < 1.0])
+    def test_four_corner_rectangles_agree(self, r):
+        cov = BivariateCovariance(1.0, 1.0, r)
+        for h, k in _THRESHOLDS:
+            upper, lower = bvn_orthants(h, k, r)
+            assert abs(upper - bvn_rect(h, INF, k, INF, cov)) <= 1e-15
+            assert abs(lower - bvn_rect(-INF, h, -INF, k, cov)) <= 1e-15
+
+    def test_perfect_correlation_closed_forms(self):
+        # X = Y: both orthants are one tail; X = -Y: a band between thresholds
+        h, k = 0.4, -1.1
+        assert bvn_orthants(h, k, 1.0) == (std_normal_cdf(-h), std_normal_cdf(k))
+        upper, lower = bvn_orthants(h, k, -1.0)
+        assert upper == pytest.approx(std_normal_cdf(-k) - std_normal_cdf(h), abs=1e-16)
+        assert lower == 0.0
 
 
 class TestRandomSource:

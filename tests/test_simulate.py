@@ -16,6 +16,7 @@ from heritcc import simulate as simulate_module
 from heritcc.numerics import RandomSource, rng_create
 from heritcc.simulate import (
     AscertainedSample,
+    GenotypeDistribution,
     LiabilityParams,
     StandardizedGenotypes,
     StudyData,
@@ -286,6 +287,24 @@ class TestSimulatePopulation:
             got = raw[indices]
             assert got.dtype == dense.dtype and got.flags.c_contiguous
             assert np.array_equal(got, dense[indices])
+
+    @pytest.mark.parametrize("kind", ["binomial-2-p", "rademacher"])
+    @pytest.mark.parametrize("rows", [1, 255, 256, 65_535, 65_536])
+    def test_column_counts_exact_at_every_block_height(self, monkeypatch, kind, rows):
+        # a block's counts sum in uint8 up to 255 rows, uint16 up to 65,535
+        # and int64 above; allele frequencies next to 1 make every row of a
+        # block a hit on both planes, the most each accumulator must hold
+        n_loci, n = 4, 2 * rows + 3
+        dist = (GenotypeDistribution(kind, np.array([1.0 - 1e-12, 0.5, 0.95, 1e-12]))
+                if kind == "binomial-2-p" else GenotypeDistribution(kind))
+        _block_rows(monkeypatch, rows, n_loci)
+        _, col_sum, col_sumsq = simulate_module._draw_population(
+            dist, n, n_loci, RandomSource(9).generator)
+        dense = sample_genotype_matrix(dist, n, n_loci, RandomSource(9)).astype(np.int64)
+        assert np.array_equal(col_sum, dense.sum(axis=0))
+        assert np.array_equal(col_sumsq, (dense * dense).sum(axis=0))
+        if kind == "binomial-2-p":
+            assert col_sum[0] == 2 * n
 
     @pytest.mark.parametrize("kind", ["binomial-2-p", "rademacher"])
     def test_count_kinds_peak_memory_is_the_bit_planes(self, kind):
