@@ -90,7 +90,7 @@ def _atomic_produce(path: Path, producer) -> None:
 
 def _print_config(name: str, settings: dict) -> None:
     print(f"[{name}] resolved configuration:")
-    for key in sorted(settings.keys() - {"run", "subcommand", "config"}):
+    for key in sorted(settings.keys() - {"run", "parser", "subcommand", "config"}):
         print(f"  {key} = {settings[key]}")
 
 
@@ -150,14 +150,14 @@ def _build_parser() -> argparse.ArgumentParser:
     threads = _default_threads()
 
     sim = sub.add_parser("simulate", help="simulate one case-control study")
-    sim.set_defaults(run=_cmd_simulate)
+    sim.set_defaults(run=_cmd_simulate, parser=sim)
     _study_flags(sim, seed=0, genotype_kind="binomial-2-p")
     sim.add_argument("--n-loci", type=int, default=10_000)
     sim.add_argument("--target-cases", type=int, default=100)
     sim.add_argument("--out", required=True)
 
     grm_p = sub.add_parser("grm", help="relationship matrix from a dataset")
-    grm_p.set_defaults(run=_cmd_grm)
+    grm_p.set_defaults(run=_cmd_grm, parser=grm_p)
     grm_p.add_argument("--in", dest="input", required=True)
     grm_p.add_argument("--out", required=True)
     grm_p.add_argument("--csv", action="store_true", help="write CSV instead of binary")
@@ -165,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grm_p.add_argument("--gamma", type=float, default=0.05)
 
     mom = sub.add_parser("moments", help="pair-moment grid: exact vs approximations")
-    mom.set_defaults(run=_cmd_moments)
+    mom.set_defaults(run=_cmd_moments, parser=mom)
     mom.add_argument("--a-i", type=float, nargs="+", default=[0.0])
     mom.add_argument("--a-j", type=float, nargs="+", default=[0.0])
     mom.add_argument("--b-ij", type=float, nargs="+", default=[1.0])
@@ -176,13 +176,13 @@ def _build_parser() -> argparse.ArgumentParser:
     mom.add_argument("--out", required=True)
 
     est = sub.add_parser("estimate", help="estimate heritability from a dataset")
-    est.set_defaults(run=_cmd_estimate)
+    est.set_defaults(run=_cmd_estimate, parser=est)
     est.add_argument("--in", dest="input", required=True)
     est.add_argument("--method", choices=("first", "second", "both"), default="both")
     est.add_argument("--out", help="write a JSON report here (stdout otherwise)")
 
     exp = sub.add_parser("experiment", help="replication study")
-    exp.set_defaults(run=_cmd_experiment)
+    exp.set_defaults(run=_cmd_experiment, parser=exp)
     exp.add_argument("--config", help="key=value file; explicit flags win")
     _study_flags(exp, seed=20_260_101, genotype_kind="binomial-2-p")
     exp.add_argument("--n-loci", type=int, default=10_000)
@@ -194,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out-dir", required=True)
 
     bench = sub.add_parser("bench", help="timing grid over study and locus counts")
-    bench.set_defaults(run=_cmd_bench)
+    bench.set_defaults(run=_cmd_bench, parser=bench)
     bench.add_argument("--n-values", type=int, nargs="+", default=[100, 1000])
     bench.add_argument("--N-values", type=int, nargs="+", default=[1000, 10_000])
     bench.add_argument("--methods", type=_method_list, default="first,second")
@@ -202,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", required=True)
 
     cons = sub.add_parser("consistency", help="estimator error along n/N growth path")
-    cons.set_defaults(run=_cmd_consistency)
+    cons.set_defaults(run=_cmd_consistency, parser=cons)
     _study_flags(cons, seed=1, genotype_kind="standard-normal")
     cons.add_argument("--ratio-a", type=float, default=0.02)
     cons.add_argument("--N-values", type=int, nargs="+", default=[2000, 4000, 8000])
@@ -356,8 +356,9 @@ def main(argv: list[str] | None = None) -> int:
             # the file's flags go right after the subcommand, so that the
             # command line's own flags, parsed later, win
             at = argv.index(args.subcommand) + 1
-            args = parser.parse_args(argv[:at] + _config_flags(args.config, parser) + argv[at:])
-        return args.run(args, parser)
+            args = parser.parse_args(argv[:at] + _config_flags(args.config, args.parser)
+                                     + argv[at:])
+        return args.run(args, args.parser)
     except SystemExit as exc:  # usage errors, --version
         return int(exc.code or 0)
     except (OSError, ValueError) as exc:

@@ -52,8 +52,8 @@ _STREAM_SELECTION = 2
 _STREAM_FREQS = 3
 
 # Every kind draws each block of rows into one reused float64 buffer of this
-# size, as standardize reduces its rows, so the draw adds this much memory to
-# the raw population whatever the population size.
+# size, so the draw adds this much memory to the raw population whatever the
+# population size.
 _BUFFER_BYTES = 1 << 22
 # Rows per einsum of the liability pass; count kinds unpack this many rows of
 # their bit planes at a time.
@@ -168,14 +168,6 @@ def _padded_rows(n_rows: int, n_cols: int) -> np.ndarray:
     return buf
 
 
-def _add_rows(total: np.ndarray, work: np.ndarray, n_rows: int) -> None:
-    """Add rows 1 to ``n_rows`` of ``work`` to ``total``, one row after the
-    other, as numpy's ``sum(axis=0)`` adds the rows of a row-major matrix.
-    Overwrites ``work[0]``, where the running sum enters the reduction."""
-    work[0] = total
-    np.add.reduce(work[:n_rows + 1], axis=0, out=total)
-
-
 @dataclass(frozen=True)
 class StandardizedGenotypes:
     """Empirically centered and scaled genotypes.
@@ -223,11 +215,11 @@ class StandardizedGenotypes:
 def standardize(a: np.ndarray) -> StandardizedGenotypes:
     """Center and scale each column to empirical mean 0 and mean square 1.
 
-    Works in row blocks of about ``_BUFFER_BYTES`` and writes the centered
-    rows straight into the padded output buffer. The column sums add the rows
-    in order, as numpy's ``sum(axis=0)`` does (each block is reduced with the
-    running sum as its first row), so the means and scales, and hence z, have
-    the same bits as the whole-matrix ``mean(axis=0)`` formulas.
+    Copies the values once into the padded output buffer and works there in
+    place. numpy reduces axis 0 of a row-major matrix one row after the
+    other, and ``einsum`` multiplies and then adds in that order too, so the
+    means and scales, and hence z, have the bits of the whole-matrix
+    ``mean(axis=0)`` formulas whatever the input's memory layout.
 
     Raises:
         ValueError: naming the first offending column if any column has zero
@@ -237,21 +229,10 @@ def standardize(a: np.ndarray) -> StandardizedGenotypes:
     n, n_loci = values.shape
     padded = _padded_rows(n, n_loci)
     z = padded[:n]
-    block_rows = max(1, min(n, _BUFFER_BYTES // (8 * n_loci)))
-    blocks = [(lo, min(lo + block_rows, n)) for lo in range(0, n, block_rows)]
-    work = np.empty((block_rows + 1, n_loci))  # row 0: the running sum
-
-    means = np.zeros(n_loci)
-    for lo, hi in blocks:
-        work[1:hi - lo + 1] = values[lo:hi]
-        _add_rows(means, work, hi - lo)
-    means /= n
-    sumsq = np.zeros(n_loci)
-    for lo, hi in blocks:
-        np.subtract(values[lo:hi], means, out=z[lo:hi])
-        np.multiply(z[lo:hi], z[lo:hi], out=work[1:hi - lo + 1])
-        _add_rows(sumsq, work, hi - lo)
-    sds = np.sqrt(sumsq / n)
+    z[...] = values
+    means = np.add.reduce(z, axis=0) / n
+    z -= means
+    sds = np.sqrt(np.einsum("ij,ij->j", z, z) / n)
     zero = np.flatnonzero(sds == 0.0)
     if zero.size:
         raise ValueError(f"column {int(zero[0])} has zero empirical variance")
@@ -334,16 +315,15 @@ def _draw_population(dist: GenotypeDistribution, n_population: int, n_loci: int,
     from the same row-major stream. Count kinds pack the hits of the same
     threshold compares into bit planes, and take the column sums and sums of
     squares from integer counts of the hits, so these are exact.
-    ``standard-normal`` keeps its float32 rows and adds their values and
-    squares to the column sums row by row, as the whole matrix's
-    ``sum(axis=0)`` would.
+    ``standard-normal`` keeps its float32 rows and reduces the whole matrix
+    once the draw is done: numpy adds the rows of a row-major matrix one
+    after the other, in float64.
     """
     block_rows = max(1, min(n_population, _BUFFER_BYTES // (8 * n_loci)))
-    buf = np.empty((block_rows + 1, n_loci))  # row 0: a running column sum
+    buf = np.empty((block_rows, n_loci))
     normal = dist.kind == "standard-normal"
     if normal:
         raw = np.empty((n_population, n_loci), dtype=np.float32)
-        col_sum, col_sumsq = np.zeros(n_loci), np.zeros(n_loci)
     else:
         if dist.kind == "binomial-2-p":
             p = dist.allele_freqs
@@ -363,14 +343,10 @@ def _draw_population(dist: GenotypeDistribution, n_population: int, n_loci: int,
                        np.uint16 if block_rows <= 0xFFFF else np.int64)
     for lo in range(0, n_population, block_rows):
         hi = min(lo + block_rows, n_population)
-        x = buf[1:hi - lo + 1]
+        x = buf[:hi - lo]
         if normal:
             gen.standard_normal(out=x)
             raw[lo:hi] = x
-            x[...] = raw[lo:hi]  # the float32 values, back in float64
-            _add_rows(col_sum, buf, hi - lo)
-            np.multiply(x, x, out=x)
-            _add_rows(col_sumsq, buf, hi - lo)
         else:
             gen.random(out=x)
             h = hit[:hi - lo]
@@ -379,7 +355,8 @@ def _draw_population(dist: GenotypeDistribution, n_population: int, n_loci: int,
                 raw.planes[k, lo:hi] = np.packbits(h, axis=1)
                 hits[k] += np.add.reduce(h.view(np.uint8), axis=0, dtype=block_count)
     if normal:
-        return raw, col_sum, col_sumsq
+        return (raw, np.add.reduce(raw, axis=0, dtype=np.float64),
+                np.einsum("ij,ij->j", raw, raw, dtype=np.float64))
     if dist.kind == "binomial-2-p":
         col_sum = hits[0] + hits[1]
         col_sumsq = hits[0] + 3 * hits[1]
@@ -405,10 +382,11 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     Every kind runs its blocks through one reused float64 buffer of about
     ``_BUFFER_BYTES``, so peak memory is the raw population (N * M / 4 bytes
     for ``binomial-2-p``, N * M / 8 for ``rademacher``, N * M * 4 for
-    ``standard-normal``) plus a few MB. The column sums add rows in order
-    whatever the block height. The liability pass runs one einsum per
-    ``_LIABILITY_ROWS`` raw rows: no float64 copy of them, and no BLAS, whose
-    products round differently at different thread counts. Each row's sum is
+    ``standard-normal``) plus a few MB. The column sums do not depend on the
+    block height: count kinds count hits exactly, and ``standard-normal``
+    reduces its whole float32 matrix at the end. The liability pass runs one
+    einsum per ``_LIABILITY_ROWS`` raw rows: no float64 copy of them, and no
+    BLAS, whose products round differently at different thread counts. Each row's sum is
     the same whatever the block, so the liabilities do not depend on the
     block height.
     """
@@ -618,11 +596,21 @@ def load_dataset(path: str | Path) -> StudyData:
     missing = [name for name in _ARRAY_NAMES if name not in arrays]
     if missing:
         raise ValueError(f"{path}: no array {', '.join(map(repr, missing))}")
+    n, n_loci = arrays["z"].shape
+    for name, length in (("y", n), ("w", n), ("indices", n),
+                         ("col_means", n_loci), ("col_sds", n_loci)):
+        if arrays[name].shape != (length,):
+            raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                             f"expected ({length},) to match 'z' of shape {(n, n_loci)}")
+    y = arrays["y"].astype(bool)
+    n_cases = int(y.sum())
+    for key, count in (("n_loci", n_loci), ("n_cases", n_cases), ("n_controls", n - n_cases)):
+        if header[key] != count:
+            raise ValueError(f"{path}: header {key} is {header[key]}, the arrays hold {count}")
     design = design_from_prevalences(
         header["population_prevalence"], header["study_prevalence"]
     )
     z_study = StandardizedGenotypes(arrays["z"], arrays["col_means"], arrays["col_sds"])
-    y = arrays["y"].astype(bool)
     sample = AscertainedSample(
         indices=arrays["indices"],
         y=y,

@@ -68,10 +68,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", _USAGE_ERRORS,
                              ids=[f"argv{i}" for i in range(len(_USAGE_ERRORS))])
     def test_bad_study_parameter_is_usage_error(self, capsys, tmp_path, argv, message):
-        # exit 2 with the library's message, before anything is printed or written
+        # exit 2 with the subcommand's usage and the library's message, before
+        # anything is printed or written
         out_flag = "--out-dir" if argv[0] == "experiment" else "--out"
         code, out, err = _run(capsys, *argv, out_flag, str(tmp_path / "out"))
         assert code == 2
+        assert err.startswith(f"usage: heritcc {argv[0]} ")
         assert message in err and "Traceback" not in err
         assert out == ""
         assert not any(tmp_path.iterdir())
@@ -259,6 +261,7 @@ class TestExperimentCommand:
             "--out-dir", str(tmp_path / "out"),
         )
         assert code == 2
+        assert err.startswith("usage: heritcc experiment ")
         assert "no equals sign here" in err
         assert not (tmp_path / "out").exists()
 

@@ -66,7 +66,7 @@ class TestStandardize:
 
 
 def _dense_standardize(values):
-    # the whole-matrix formulas the row-block route replaced
+    # the whole-matrix formulas whose bits standardize keeps
     work = values.astype(np.float64, copy=False)
     means = work.mean(axis=0)
     centered = work - means
@@ -88,11 +88,38 @@ def _block_rows(monkeypatch, rows, n_loci):
     monkeypatch.setattr(simulate_module, "_BUFFER_BYTES", rows * 8 * n_loci)
 
 
+class TestRowOrderReductions:
+    # standardize and the standard-normal draw take their column sums from
+    # np.add.reduce(axis=0) and einsum("ij,ij->j") of a row-major matrix;
+    # their bits rest on both adding the rows one after the other
+    @pytest.mark.parametrize("shape", [(9, 5), (300, 40), (1001, 333), (9, 9000)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_axis0_reductions_add_rows_in_order(self, shape, dtype):
+        gen = np.random.default_rng(shape[0] * shape[1])
+        scales = np.exp(gen.uniform(-20.0, 20.0, size=(shape[0], 1)))
+        x = (gen.standard_normal(shape) * scales).astype(dtype)
+        # float64 input as standardize reduces it, float32 as the draw does
+        wide = {} if dtype == np.float64 else {"dtype": np.float64}
+        acc = acc_sq = np.zeros(shape[1])
+        for row in x.astype(np.float64):
+            acc = acc + row
+            acc_sq = acc_sq + row * row
+        assert np.array_equal(np.add.reduce(x, axis=0, **wide), acc)
+        assert np.array_equal(np.einsum("ij,ij->j", x, x, **wide), acc_sq)
+        # along the contiguous axis numpy sums pairwise: other bits (with 9
+        # rows the largest row may fix a column's bits in either order)
+        if shape[0] >= 300:
+            column_major = np.ascontiguousarray(x.T)
+            assert not np.array_equal(np.add.reduce(column_major, axis=1, **wide), acc)
+
+
 class TestStandardizeRowBlocks:
     @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
     @pytest.mark.parametrize("n", [2, 7, 8, 9, 300])
     @pytest.mark.parametrize("block_rows", [None, 5])
     def test_same_bits_as_whole_matrix_formulas(self, monkeypatch, kind, n, block_rows):
+        # block_rows = 5 shrinks the population draw's row buffer to 5 rows;
+        # standardize reduces the whole matrix and must not read it
         values = _study_rows(kind, n, 40, n)
         if block_rows is not None:
             _block_rows(monkeypatch, block_rows, values.shape[1])
@@ -104,8 +131,8 @@ class TestStandardizeRowBlocks:
         assert np.shares_memory(z.z, z.padded)
 
     def test_memory_layout_does_not_change_bits(self):
-        # numpy sums a column-major matrix pairwise down its columns; the
-        # row blocks add rows in order whatever the layout
+        # numpy sums a column-major matrix pairwise down its columns;
+        # standardize copies the values into its row-major output first
         values = _study_rows("standard-normal", 300, 40, 3)
         row_major, column_major = standardize(values), standardize(np.asfortranarray(values))
         for name in ("z", "col_means", "col_sds"):
@@ -119,7 +146,7 @@ class TestStandardizeRowBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= z.padded.nbytes + 2 * simulate_module._BUFFER_BYTES
+        assert peak <= z.padded.nbytes + (1 << 20)
 
     def test_z_outside_a_padded_buffer_is_copied_into_one(self):
         # an owning array, a column-major one, and the rows of an 8-row
@@ -592,6 +619,32 @@ class TestDatasetContainer:
         blob = json.dumps(header).encode()
         path.write_bytes(data[:4] + len(blob).to_bytes(8, "little") + blob + body)
         with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("tamper", ["rows", "n_cases", "n_loci", "col_means"])
+    def test_mismatched_arrays_and_header_are_named(self, tmp_path, tamper):
+        # a container whose arrays disagree with each other or with its
+        # header fails on load, naming the path, not later in an estimator
+        study = simulate_case_control_study(0.3, 0.2, 0.5, 30, 15, seed=21)
+        sample, z = study.sample, study.sample.z_study
+        n, cases = sample.y.shape[0], sample.n_cases
+        if tamper == "rows":
+            sample = dataclasses.replace(sample, y=sample.y[:-1], w=sample.w[:-1],
+                                         indices=sample.indices[:-1])
+            message = f"array 'y' has shape ({n - 1},), expected ({n},)"
+        elif tamper == "n_cases":
+            sample = dataclasses.replace(sample, n_cases=cases + 5)
+            message = f"header n_cases is {cases + 5}, the arrays hold {cases}"
+        elif tamper == "n_loci":
+            study = dataclasses.replace(study, n_loci=29)
+            message = "header n_loci is 29, the arrays hold 30"
+        else:
+            sample = dataclasses.replace(sample, z_study=StandardizedGenotypes(
+                z.z, z.col_means[:-3], z.col_sds))
+            message = "array 'col_means' has shape (27,), expected (30,)"
+        path = tmp_path / "study.hccd"
+        save_dataset(path, dataclasses.replace(study, sample=sample))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_dataset(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
