@@ -411,9 +411,10 @@ def consistency_configs(eta_star: float, population_prevalence: float,
                         genotype_kind: str = "standard-normal") -> list[ExperimentConfig]:
     """The replication study of each locus count of
     :func:`run_consistency_study`; raises ValueError for a ``ratio_a`` that
-    is not positive and for what :class:`ExperimentConfig` rejects."""
-    if not ratio_a > 0:
-        raise ValueError(f"ratio_a must be > 0, got {ratio_a}")
+    is not positive or whose product with a locus count is not finite, and
+    for what :class:`ExperimentConfig` rejects."""
+    if not (ratio_a > 0 and all(math.isfinite(ratio_a * n) for n in n_loci_values)):
+        raise ValueError(f"ratio_a must be > 0, got {ratio_a}, with ratio_a * n_loci finite")
     return [
         ExperimentConfig(
             eta_star=eta_star, population_prevalence=population_prevalence,
@@ -504,7 +505,11 @@ def write_records_csv(path: str | Path, result: ExperimentResult) -> None:
 
 
 def read_records_csv(path: str | Path) -> tuple[dict, list[ReplicationRecord]]:
-    """Reconstruct records exactly (floats round-trip through repr)."""
+    """The config echo and records of a :func:`write_records_csv` file.
+
+    Every field but two comes back exactly (floats through repr), so writing
+    what this reads gives the same bytes. A comma in ``error`` was written as
+    ``;``, and ``mean_sq_offdiag`` is not written: it reads as NaN."""
     config: dict[str, str] = {}
     records = []
     header: list[str] | None = None

@@ -151,14 +151,15 @@ def mean_square_offdiagonal(g: GrmView) -> float:
     return float(row_sq.sum()) / g.n_individuals
 
 
-def grm_to_csv(path: str | Path, g: GrmView, max_n: int = 1000) -> None:
-    """Write the matrix as CSV; refuses n beyond ``max_n``."""
-    if g.n_individuals > max_n:
-        raise ValueError(f"n = {g.n_individuals} exceeds CSV export cap {max_n}")
+def grm_to_csv(path: str | Path, g: GrmView) -> None:
+    """Write the matrix as CSV; refuses n beyond ``_CSV_MAX_N``."""
+    if g.n_individuals > _CSV_MAX_N:
+        raise ValueError(f"n = {g.n_individuals} exceeds CSV export cap {_CSV_MAX_N}")
     lines = [",".join(repr(float(v)) for v in row) for row in g.g]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_CSV_MAX_N = 1000  # grm_to_csv's cap: its text takes ~20 bytes per entry
 _GRM_MAGIC = b"HCCG"
 _GRM_HEADER_BYTES = 20  # magic, then n and n_loci as 8-byte little-endian
 

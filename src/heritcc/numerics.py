@@ -1,18 +1,20 @@
 """Scalar Gaussian functions, bivariate-normal orthant and rectangle
 probabilities, and seedable random sources.
 
-Everything in this module is pure and deterministic.  The orthant pair of
-:func:`bvn_orthants` is the numerical ground truth against which the Taylor
-approximations in :mod:`heritcc.moments` are validated, so it is pinned to an
-absolute accuracy far below 1e-10.  Both orthants come from one quadrature;
-:func:`bvn_rect`, four such corners per rectangle, is kept as the tests'
-independent route.
+Everything in this module is pure and deterministic.  The quantile is the
+standard library's (:class:`statistics.NormalDist`, AS241).  The orthant
+pair of :func:`bvn_orthants` is the numerical ground truth against which the
+Taylor approximations in :mod:`heritcc.moments` are validated, so it is
+pinned to an absolute accuracy far below 1e-10.  Both orthants come from one
+quadrature; :func:`bvn_rect`, four such corners per rectangle, is kept as
+the tests' independent route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -48,38 +50,18 @@ def std_normal_cdf(x: float) -> float:
 def std_normal_quantile(p: float) -> float:
     """Inverse of :func:`std_normal_cdf` on (0, 1).
 
-    Brackets the root by bisection, then polishes with Newton steps.  The
-    returned ``x`` satisfies ``|std_normal_cdf(x) - p| <= 1e-10`` (in practice
-    machine precision).
+    Wichura's AS241 rational approximations, through
+    :meth:`statistics.NormalDist.inv_cdf`: within a few ulps of the exact
+    quantile all the way into either tail. Take an upper-tail point as
+    ``-std_normal_quantile(q)`` rather than ``std_normal_quantile(1 - q)``,
+    which loses the digits of a small ``q`` to the subtraction.
 
     Raises:
-        ValueError: if ``p`` is not strictly inside (0, 1).
+        ValueError: if ``p`` is not strictly inside (0, 1), NaN included.
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"quantile argument must lie in (0, 1), got {p!r}")
-    if p == 0.5:
-        return 0.0
-    lo, hi = -40.0, 40.0
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if std_normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        err = std_normal_cdf(x) - p
-        if err < 0.0:
-            lo = x
-        else:
-            hi = x
-        x_new = x - err / max(std_normal_pdf(x), 5e-324)
-        if not (lo <= x_new <= hi):
-            x_new = 0.5 * (lo + hi)  # bisect whenever Newton leaves the bracket
-        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
-            return x_new
-        x = x_new
-    return x
+    return NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)

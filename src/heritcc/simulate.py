@@ -151,12 +151,16 @@ def _sample_rows(dist: GenotypeDistribution, n_rows: int, n_loci: int,
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+def _check_loci(dist: GenotypeDistribution, n_loci: int) -> None:
+    if dist.kind == "binomial-2-p" and dist.n_loci != n_loci:
+        raise ValueError(f"distribution has {dist.n_loci} loci, requested {n_loci}")
+
+
 def sample_genotype_matrix(dist: GenotypeDistribution, n_individuals: int,
                            n_loci: int, rs: RandomSource) -> np.ndarray:
     """Draw a full genotype matrix with i.i.d. entries per column: int8 for
     the count kinds, float32 for ``standard-normal``."""
-    if dist.kind == "binomial-2-p" and dist.n_loci != n_loci:
-        raise ValueError(f"distribution has {dist.n_loci} loci, requested {n_loci}")
+    _check_loci(dist, n_loci)
     return _sample_rows(dist, n_individuals, n_loci, rs.generator)
 
 
@@ -269,7 +273,7 @@ def design_from_prevalences(population_prevalence: float, study_prevalence: floa
             f"population prevalence {k} exceeds study prevalence {p}; "
             "control selection probability would exceed 1"
         )
-    threshold = std_normal_quantile(1.0 - k)
+    threshold = -std_normal_quantile(k)  # the lower tail keeps the digits of a small K
     p_control = k * (1.0 - p) / (p * (1.0 - k))
     return StudyDesign(k, p, threshold, 1.0, p_control)
 
@@ -390,6 +394,7 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     the same whatever the block, so the liabilities do not depend on the
     block height.
     """
+    _check_loci(dist, n_loci)
     raw, col_sum, col_sumsq = _draw_population(
         dist, n_population, n_loci, rs.spawn(_STREAM_GENOTYPES).generator)
     means = col_sum / n_population

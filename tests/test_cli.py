@@ -48,6 +48,9 @@ _USAGE_ERRORS = [
     (["moments", "--a-i", "-200", "--N", "1"], "variances must be positive"),
     (["moments", "--N", "0"], "n_loci must be >= 1, got 0"),
     (["moments", "--N", "100", "-3"], "n_loci must be >= 1, got -3"),
+    (["consistency", "--ratio-a", "inf", *_FAST], "ratio_a must be > 0, got inf"),
+    (["consistency", "--ratio-a", "1e305", "--N-values", "2000", *_FAST],
+     "with ratio_a * n_loci finite"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Tests for the replication harness, timing grid, and consistency study."""
 
+import math
 import multiprocessing
 import os
 import re
@@ -14,6 +15,8 @@ import pytest
 from heritcc import experiments
 from heritcc.experiments import (
     ExperimentConfig,
+    ExperimentResult,
+    ReplicationRecord,
     read_records_csv,
     run_consistency_study,
     run_experiment,
@@ -265,6 +268,22 @@ class TestRecordsCsv:
         recomputed = summarize_records(SMOKE, records)
         assert recomputed == result.summaries
 
+    def test_rewrite_of_read_records_is_byte_identical(self, tmp_path):
+        records = [
+            ReplicationRecord(0, 61, 30, {"first": 0.1 + 0.2, "second": 1 / 3}, True,
+                              mean_sq_offdiag=0.25),
+            ReplicationRecord(1, 0, 0, {}, False, error="ValueError: column 3, zero variance"),
+        ]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_records_csv(first, ExperimentResult(SMOKE, records, {}))
+        config, loaded = read_records_csv(first)
+        write_records_csv(second, ExperimentResult(SMOKE, loaded, {}))
+        assert second.read_bytes() == first.read_bytes()
+        assert config["seed"] == str(SMOKE.seed)
+        assert loaded[0].eta_hat == records[0].eta_hat
+        assert loaded[1].error == "ValueError: column 3; zero variance"
+        assert np.isnan(loaded[0].mean_sq_offdiag)
+
     def test_byte_identical_across_runs(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records_csv(p1, run_experiment(SMOKE))
@@ -362,7 +381,7 @@ class TestConsistencyStudy:
         )
         assert rows[0].reps == 3
 
-    @pytest.mark.parametrize("ratio_a", [0.0, -1.0])
+    @pytest.mark.parametrize("ratio_a", [0.0, -1.0, math.inf])
     def test_rejects_nonpositive_ratio(self, ratio_a):
         with pytest.raises(ValueError, match=re.escape(f"ratio_a must be > 0, got {ratio_a}")):
             run_consistency_study(0.5, 0.2, 0.5, ratio_a, [400], 1, 3)

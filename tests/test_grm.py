@@ -343,10 +343,12 @@ class TestGrmIO:
         ])
         np.testing.assert_array_equal(back, g.g)
 
-    def test_csv_size_cap(self, tmp_path):
+    def test_csv_size_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(grm_module, "_CSV_MAX_N", 4)
         g = GrmView(np.eye(5), 5, 10)
-        with pytest.raises(ValueError):
-            grm_to_csv(tmp_path / "x.csv", g, max_n=4)
+        with pytest.raises(ValueError, match="exceeds CSV export cap 4"):
+            grm_to_csv(tmp_path / "x.csv", g)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_binary_roundtrip(self, tmp_path):
         g = grm_compute(_random_z(9, 30, 22))

@@ -91,6 +91,11 @@ class TestQuantile:
         assert oracle == pytest.approx(expected, abs=1e-6)
         assert std_normal_quantile(p) == pytest.approx(oracle, abs=1e-9)
 
+    def test_nan_is_a_domain_error(self):
+        # NormalDist.inv_cdf returns nan for nan instead of raising
+        with pytest.raises(ValueError, match="must lie in"):
+            std_normal_quantile(math.nan)
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from heritcc import simulate as simulate_module
 from heritcc.numerics import RandomSource, rng_create
@@ -195,6 +196,13 @@ class TestDesign:
         study_prev = y[keep].mean()
         assert study_prev == pytest.approx(p, abs=0.01)
 
+    def test_threshold_keeps_the_digits_of_a_small_prevalence(self):
+        # t = -quantile(K), not quantile(1 - K), which rounds K away
+        ks = np.logspace(-12, math.log10(0.49), 3000)
+        for k, expected in zip(ks, norm.isf(ks)):
+            t = design_from_prevalences(k, 0.5).threshold
+            assert abs(t - expected) <= 8 * math.ulp(expected), k
+
     @pytest.mark.parametrize("k,p", [(0.6, 0.5), (0.0, 0.5), (0.5, 1.0), (-0.1, 0.5)])
     def test_rejects_bad_prevalences(self, k, p):
         with pytest.raises(ValueError):
@@ -202,6 +210,16 @@ class TestDesign:
 
 
 class TestSimulatePopulation:
+    @pytest.mark.parametrize("n_freqs", [1, 3])
+    def test_locus_count_must_match_the_distribution(self, n_freqs):
+        dist = GenotypeDistribution("binomial-2-p", np.full(n_freqs, 0.3))
+        message = f"distribution has {n_freqs} loci, requested 5"
+        with pytest.raises(ValueError, match=message):
+            sample_genotype_matrix(dist, 10, 5, RandomSource(1))
+        with pytest.raises(ValueError, match=message):
+            population_sample(dist, 10, 5, LiabilityParams(0.5),
+                              design_from_prevalences(0.1, 0.5), RandomSource(1))
+
     def test_zero_heritability_is_pure_environment(self):
         rs = rng_create(3)
         a = sample_genotype_matrix(make_distribution("standard-normal", 20, rs), 500, 20, rs.spawn(0))
