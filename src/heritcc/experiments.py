@@ -227,8 +227,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
         if "first" in cfg.methods:
             eta_hat["first"] = estimate_first_order(sample, g, study.design).eta_hat
         if "second" in cfg.methods:
-            eta_hat["second"] = estimate_second_order(sample, g, study.design,
-                                                      cfg.n_loci).eta_hat
+            eta_hat["second"] = estimate_second_order(sample, g, study.design, g.n_loci).eta_hat
         return ReplicationRecord(
             rep_index=rep_index,
             realized_n=int(sample.y.shape[0]),
@@ -324,10 +323,7 @@ def _timing_inputs(n: int, n_loci: int, seed: int):
     dist = make_distribution("binomial-2-p", n_loci, rs.spawn(0))
     raw = sample_genotype_matrix(dist, n, n_loci, rs.spawn(1))
     y = rs.spawn(2).generator.random(n) < _TIMING_DESIGN.study_prevalence
-    sample = AscertainedSample(
-        indices=np.arange(n), y=y, w=_centered_w(y, _TIMING_DESIGN),
-        n_cases=int(y.sum()), n_controls=int(n - y.sum()),
-    )
+    sample = AscertainedSample(indices=np.arange(n), y=y, w=_centered_w(y, _TIMING_DESIGN))
     return raw, sample
 
 

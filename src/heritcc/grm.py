@@ -33,11 +33,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GrmView:
-    """Symmetric relationship matrix with its dimensions."""
+    """Symmetric relationship matrix and the number of loci it averages over."""
 
     g: np.ndarray
-    n_individuals: int
     n_loci: int
+
+    @property
+    def n_individuals(self) -> int:
+        return int(self.g.shape[0])
 
 
 def grm_compute(z) -> GrmView:
@@ -57,7 +60,7 @@ def grm_compute(z) -> GrmView:
         raise ValueError("need at least 2 individuals and 1 locus")
     g = (z.padded @ z.padded.T)[:n, :n]
     g *= 1.0 / z.n_loci
-    return GrmView(g=g, n_individuals=n, n_loci=z.n_loci)
+    return GrmView(g=g, n_loci=z.n_loci)
 
 
 @dataclass(frozen=True)
@@ -199,4 +202,4 @@ def load_grm(path: str | Path) -> GrmView:
                              f"{n} x {n} float64, got {available}")
         g = np.empty((n, n))
         fh.readinto(g)
-    return GrmView(g=g, n_individuals=n, n_loci=n_loci)
+    return GrmView(g=g, n_loci=n_loci)

@@ -11,6 +11,7 @@ value.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -424,15 +425,22 @@ class AscertainedSample:
 
     ``w`` is the phenotype centered with the design study prevalence, not the
     realized one. ``z_study`` is standardized over the study rows and is
-    attached by the pipeline (selection itself needs no genotypes).
+    attached by the pipeline (selection itself needs no genotypes). The case
+    and control counts are read from ``y``.
     """
 
     indices: np.ndarray
     y: np.ndarray
     w: np.ndarray
-    n_cases: int
-    n_controls: int
     z_study: StandardizedGenotypes | None = None
+
+    @property
+    def n_cases(self) -> int:
+        return int(np.count_nonzero(self.y))
+
+    @property
+    def n_controls(self) -> int:
+        return int(self.y.shape[0]) - self.n_cases
 
 
 def _centered_w(y: np.ndarray, design: StudyDesign) -> np.ndarray:
@@ -446,14 +454,7 @@ def ascertain(y: np.ndarray, design: StudyDesign, rs: RandomSource) -> Ascertain
     keep = y | (rs.generator.random(y.shape[0]) < design.p_control)
     indices = np.flatnonzero(keep)
     y_study = y[indices]
-    n_cases = int(y_study.sum())
-    return AscertainedSample(
-        indices=indices,
-        y=y_study,
-        w=_centered_w(y_study, design),
-        n_cases=n_cases,
-        n_controls=int(y_study.shape[0] - n_cases),
-    )
+    return AscertainedSample(indices=indices, y=y_study, w=_centered_w(y_study, design))
 
 
 def attach_study_genotypes(sample: AscertainedSample, raw: np.ndarray | PackedGenotypes
@@ -464,15 +465,19 @@ def attach_study_genotypes(sample: AscertainedSample, raw: np.ndarray | PackedGe
 
 @dataclass(frozen=True)
 class StudyData:
-    """One simulated case-control study together with its provenance."""
+    """One simulated case-control study together with its provenance; the
+    locus count is read from the study genotypes."""
 
     sample: AscertainedSample
     design: StudyDesign
     liability: LiabilityParams
-    n_loci: int
     population_size: int
     seed: int
     genotype_kind: str
+
+    @property
+    def n_loci(self) -> int:
+        return self.sample.z_study.n_loci
 
 
 def simulate_case_control_study(heritability: float, population_prevalence: float,
@@ -497,15 +502,8 @@ def simulate_case_control_study(heritability: float, population_prevalence: floa
     raw, _, y = population_sample(dist, n_population, n_loci, lp, design, rs)
     sample = ascertain(y, design, rs.spawn(_STREAM_SELECTION))
     sample = attach_study_genotypes(sample, raw)
-    return StudyData(
-        sample=sample,
-        design=design,
-        liability=lp,
-        n_loci=n_loci,
-        population_size=n_population,
-        seed=seed,
-        genotype_kind=genotype_kind,
-    )
+    return StudyData(sample=sample, design=design, liability=lp, population_size=n_population,
+                     seed=seed, genotype_kind=genotype_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -516,28 +514,41 @@ def simulate_case_control_study(heritability: float, population_prevalence: floa
 _MAGIC = b"HCCD"
 _VERSION = 1
 # What load_dataset reads from a container; save_dataset writes all of it.
-_HEADER_KEYS = ("version", "arrays", "n_loci", "seed", "population_prevalence",
+_HEADER_KEYS = ("version", "arrays", "n", "n_loci", "seed", "population_prevalence",
                 "study_prevalence", "heritability", "population_size", "genotype_kind",
                 "n_cases", "n_controls")
-_ARRAY_NAMES = ("z", "col_means", "col_sds", "w", "y", "indices")
+
+
+def _layout(n: int, n_loci: int) -> list[dict]:
+    """The container's arrays in file order, as its header lists them: the
+    name, dtype and shape of each for a study of n rows and n_loci loci."""
+    return [{"name": name, "dtype": dtype, "shape": shape} for name, dtype, shape in (
+        ("z", "float64", [n, n_loci]),
+        ("col_means", "float64", [n_loci]),
+        ("col_sds", "float64", [n_loci]),
+        ("w", "float64", [n]),
+        ("y", "uint8", [n]),
+        ("indices", "int64", [n]),
+    )]
+
+
+def _json(value) -> str:
+    # JSON text compares 38 and 38.0, or 1 and true, as different
+    return json.dumps(value, sort_keys=True)
 
 
 def save_dataset(path: str | Path, data: StudyData) -> None:
     sample = data.sample
     if sample.z_study is None:
         raise ValueError("dataset must carry study genotypes; run the pipeline first")
-    arrays = {
-        "z": np.ascontiguousarray(sample.z_study.z, dtype=np.float64),
-        "col_means": np.ascontiguousarray(sample.z_study.col_means, dtype=np.float64),
-        "col_sds": np.ascontiguousarray(sample.z_study.col_sds, dtype=np.float64),
-        "w": np.ascontiguousarray(sample.w, dtype=np.float64),
-        "y": np.ascontiguousarray(sample.y, dtype=np.uint8),
-        "indices": np.ascontiguousarray(sample.indices, dtype=np.int64),
-    }
+    z = sample.z_study
+    layout = _layout(z.n_individuals, z.n_loci)
+    arrays = [np.ascontiguousarray(values, dtype=spec["dtype"]) for spec, values in zip(
+        layout, (z.z, z.col_means, z.col_sds, sample.w, sample.y, sample.indices))]
     header = {
         "version": _VERSION,
-        "n": sample.y.shape[0],
-        "n_loci": data.n_loci,
+        "n": z.n_individuals,
+        "n_loci": z.n_loci,
         "seed": data.seed,
         "population_prevalence": data.design.population_prevalence,
         "study_prevalence": data.design.study_prevalence,
@@ -546,17 +557,16 @@ def save_dataset(path: str | Path, data: StudyData) -> None:
         "genotype_kind": data.genotype_kind,
         "n_cases": sample.n_cases,
         "n_controls": sample.n_controls,
-        "arrays": [
-            {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
-            for name, arr in arrays.items()
-        ],
+        # the shapes the arrays have, so that a study whose arrays disagree
+        # is written as it is and refused on load
+        "arrays": [dict(spec, shape=list(arr.shape)) for spec, arr in zip(layout, arrays)],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        for arr in arrays.values():
+        for arr in arrays:
             fh.write(arr.data)  # the array's own buffer: no copy of z
 
 
@@ -570,67 +580,53 @@ def load_dataset(path: str | Path) -> StudyData:
         blob_len = int.from_bytes(length, "little")
         if len(length) < 8 or fh.tell() + blob_len > size:
             raise ValueError(f"{path}: truncated header ({size} bytes)")
-        header = json.loads(fh.read(blob_len))
+        try:
+            header = json.loads(fh.read(blob_len))
+        except ValueError:  # not UTF-8 or not JSON
+            header = None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is not a JSON object")
         missing = [key for key in _HEADER_KEYS if key not in header]
         if missing:
             raise ValueError(f"{path}: header lacks {', '.join(map(repr, missing))}")
         if header["version"] != _VERSION:
             raise ValueError(f"{path}: unsupported container version {header['version']}")
+        for key in ("n", "n_loci"):
+            if type(header[key]) is not int or header[key] < 0:
+                raise ValueError(f"{path}: header {key} must be an integer >= 0, "
+                                 f"got {_json(header[key])}")
+        layout = _layout(header["n"], header["n_loci"])
+        entries = header["arrays"] if isinstance(header["arrays"], list) else [header["arrays"]]
+        for i, (entry, spec) in enumerate(itertools.zip_longest(entries, layout)):
+            if _json(entry) != _json(spec):
+                raise ValueError(f"{path}: array entry {i} is {_json(entry)}, "
+                                 f"expected {_json(spec)}")
         arrays = {}
-        for spec in header["arrays"]:
-            if not {"name", "shape", "dtype"} <= spec.keys():
-                raise ValueError(f"{path}: array entry {spec} lacks a name, shape or dtype")
-            name, shape, dtype = spec["name"], tuple(spec["shape"]), np.dtype(spec["dtype"])
-            if dtype.hasobject:
-                raise ValueError(f"{path}: array {name!r} has unsupported dtype {dtype}")
+        for spec in layout:
+            name, shape, dtype = spec["name"], spec["shape"], np.dtype(spec["dtype"])
             expected, available = math.prod(shape) * dtype.itemsize, size - fh.tell()
             if expected > available:
                 raise ValueError(f"{path}: array {name!r} is truncated: "
                                  f"expected {expected} bytes, got {available}")
-            if name == "z":
-                # read straight into the rows of the padded buffer
-                if dtype != np.float64 or len(shape) != 2:
-                    raise ValueError(f"{path}: array 'z' must be 2-d float64, "
-                                     f"got {dtype} of shape {shape}")
-                arrays[name] = _padded_rows(*shape)[:shape[0]]
-            else:
-                arrays[name] = np.empty(shape, dtype=dtype)
+            # z is read straight into the rows of the padded buffer
+            arrays[name] = (_padded_rows(*shape)[:shape[0]] if name == "z"
+                            else np.empty(shape, dtype))
             fh.readinto(arrays[name])
         if size > fh.tell():
             raise ValueError(f"{path}: {size - fh.tell()} trailing bytes after the last array")
-    missing = [name for name in _ARRAY_NAMES if name not in arrays]
-    if missing:
-        raise ValueError(f"{path}: no array {', '.join(map(repr, missing))}")
-    n, n_loci = arrays["z"].shape
-    for name, length in (("y", n), ("w", n), ("indices", n),
-                         ("col_means", n_loci), ("col_sds", n_loci)):
-        if arrays[name].shape != (length,):
-            raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
-                             f"expected ({length},) to match 'z' of shape {(n, n_loci)}")
-    y = arrays["y"].astype(bool)
-    n_cases = int(y.sum())
-    for key, count in (("n_loci", n_loci), ("n_cases", n_cases), ("n_controls", n - n_cases)):
-        if header[key] != count:
-            raise ValueError(f"{path}: header {key} is {header[key]}, the arrays hold {count}")
-    design = design_from_prevalences(
-        header["population_prevalence"], header["study_prevalence"]
-    )
     z_study = StandardizedGenotypes(arrays["z"], arrays["col_means"], arrays["col_sds"])
-    sample = AscertainedSample(
-        indices=arrays["indices"],
-        y=y,
-        w=arrays["w"],
-        n_cases=header["n_cases"],
-        n_controls=header["n_controls"],
-        z_study=z_study,
-    )
-    return StudyData(
-        sample=sample,
-        design=design,
-        liability=LiabilityParams(header["heritability"]),
-        n_loci=header["n_loci"],
-        population_size=header["population_size"],
-        seed=header["seed"],
-        genotype_kind=header["genotype_kind"],
-    )
-
+    sample = AscertainedSample(indices=arrays["indices"], y=arrays["y"].astype(bool),
+                               w=arrays["w"], z_study=z_study)
+    for key in ("n_cases", "n_controls"):
+        if header[key] != getattr(sample, key):
+            raise ValueError(f"{path}: header {key} is {header[key]}, "
+                             f"the arrays hold {getattr(sample, key)}")
+    try:
+        design = design_from_prevalences(header["population_prevalence"],
+                                         header["study_prevalence"])
+        liability = LiabilityParams(header["heritability"])
+    except (TypeError, ValueError) as exc:  # a value the model refuses, or not a number
+        raise ValueError(f"{path}: {exc}") from None
+    return StudyData(sample=sample, design=design, liability=liability,
+                     population_size=header["population_size"], seed=header["seed"],
+                     genotype_kind=header["genotype_kind"])

@@ -40,14 +40,12 @@ def _sample_from_w(w):
         indices=np.arange(w.shape[0]),
         y=y,
         w=w,
-        n_cases=int(y.sum()),
-        n_controls=int((~y).sum()),
     )
 
 
 def _grm_from_matrix(mat, n_loci=100):
     mat = np.asarray(mat, dtype=np.float64)
-    return GrmView(g=mat, n_individuals=mat.shape[0], n_loci=n_loci)
+    return GrmView(g=mat, n_loci=n_loci)
 
 
 def _random_z(n, n_loci, seed):
@@ -298,10 +296,7 @@ class TestSecondOrderEstimator:
             if y.all() or not y.any():
                 continue
             design = design_from_prevalences(k, 0.5)
-            sample = AscertainedSample(
-                indices=np.arange(n), y=y, w=(y - 0.5) / 0.5,
-                n_cases=int(y.sum()), n_controls=int((~y).sum()),
-            )
+            sample = AscertainedSample(indices=np.arange(n), y=y, w=(y - 0.5) / 0.5)
             g = grm_compute(standardize(x))
             report = estimate_second_order(sample, g, design, n_loci)
             coeffs = _objective_coefficients(sample, g, design)

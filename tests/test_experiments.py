@@ -12,7 +12,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from heritcc import experiments
+from heritcc import experiments, simulate
 from heritcc.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -28,7 +28,12 @@ from heritcc.experiments import (
     write_timing_csv,
 )
 from heritcc.grm import grm_compute, mean_square_offdiagonal
-from heritcc.simulate import StandardizedGenotypes, simulate_case_control_study
+from heritcc.simulate import (
+    StandardizedGenotypes,
+    load_dataset,
+    save_dataset,
+    simulate_case_control_study,
+)
 
 SMOKE = ExperimentConfig(
     eta_star=0.5,
@@ -143,6 +148,30 @@ class TestRunExperiment:
         )
         expected = mean_square_offdiagonal(grm_compute(study.sample.z_study))
         assert record.mean_sq_offdiag == expected
+
+
+class TestOneLocusCount:
+    """The locus count is read from the study's standardized genotypes, so a
+    study that keeps fewer loci than it drew carries that count throughout."""
+
+    @pytest.fixture
+    def drop_last_locus(self, monkeypatch):
+        standardize = simulate.standardize
+        monkeypatch.setattr(simulate, "standardize", lambda a: standardize(a[:, :-1]))
+
+    def test_replication_takes_the_count_of_its_matrix(self, drop_last_locus):
+        record = run_replication(SMOKE, 0)
+        assert record.error is None
+        assert set(record.eta_hat) == {"first", "second"}
+
+    def test_container_takes_the_count_of_its_arrays(self, drop_last_locus, tmp_path):
+        study = experiments.simulate_study(SMOKE, 7)
+        assert study.n_loci == SMOKE.n_loci - 1
+        path = tmp_path / "study.hccd"
+        save_dataset(path, study)
+        loaded = load_dataset(path)
+        assert loaded.n_loci == SMOKE.n_loci - 1
+        assert np.array_equal(loaded.sample.z_study.z, study.sample.z_study.z)
 
 
 def _pid_and_blas_threads(_task):

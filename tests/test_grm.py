@@ -100,44 +100,44 @@ class TestGrmCompute:
 
 class TestSigmaPair:
     def test_unit_diagonal_gives_zero_deviation(self):
-        g = GrmView(np.eye(4), 4, 100)
+        g = GrmView(np.eye(4), 100)
         sp = sigma_pair(g, 0, 1)
         assert sp.a_i == 0.0 and sp.a_j == 0.0 and sp.b_ij == 0.0
 
     def test_definition_arithmetic(self):
         mat = np.eye(3)
         mat[0, 1] = mat[1, 0] = 0.02
-        g = GrmView(mat, 3, 10_000)
+        g = GrmView(mat, 10_000)
         sp = sigma_pair(g, 0, 1)
         assert sp.b_ij == pytest.approx(2.0)
 
     def test_rejects_equal_indices(self):
-        g = GrmView(np.eye(3), 3, 10)
+        g = GrmView(np.eye(3), 10)
         with pytest.raises(ValueError):
             sigma_pair(g, 1, 1)
 
 
 class TestEventEnCheck:
     def test_identity_holds_trivially(self):
-        g = GrmView(np.eye(10), 10, 10_000)
+        g = GrmView(np.eye(10), 10_000)
         res = event_en_check(g, 0.05)
         assert res.holds and res.sup_diag_dev == 0.0 and res.sup_offdiag == 0.0
 
     def test_large_entry_breaks_event(self):
         mat = np.eye(10)
         mat[1, 2] = mat[2, 1] = 0.5
-        res = event_en_check(GrmView(mat, 10, 10_000), 0.05)
+        res = event_en_check(GrmView(mat, 10_000), 0.05)
         assert not res.holds
 
     def test_eps_value(self):
-        g = GrmView(np.eye(4), 4, 10_000)
+        g = GrmView(np.eye(4), 10_000)
         res = event_en_check(g, 0.05)
         assert res.eps_n == pytest.approx(10_000 ** -0.45)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, -0.3, 0.5])
     def test_gamma_domain(self, gamma):
         with pytest.raises(ValueError):
-            event_en_check(GrmView(np.eye(3), 3, 100), gamma)
+            event_en_check(GrmView(np.eye(3), 100), gamma)
 
     def test_typical_simulation_scale_rarely_holds(self):
         # At n = 200, N = 10^4 the tolerance N**-0.45 ~ 0.016 sits below the
@@ -177,9 +177,9 @@ class TestEventEnCheckPanels:
     def test_largest_entry_in_a_late_panel_and_nan(self):
         mat = np.eye(600)
         mat[599, 3] = mat[3, 599] = -0.25
-        assert event_en_check(GrmView(mat, 600, 10_000), 0.05).sup_offdiag == 0.25
+        assert event_en_check(GrmView(mat, 10_000), 0.05).sup_offdiag == 0.25
         mat[598, 597] = np.nan
-        assert np.isnan(event_en_check(GrmView(mat, 600, 10_000), 0.05).sup_offdiag)
+        assert np.isnan(event_en_check(GrmView(mat, 10_000), 0.05).sup_offdiag)
 
     def test_peak_memory_is_panels_not_matrices(self):
         n = 3000
@@ -207,10 +207,9 @@ def _loaded_z(z_study, tmp_path):
     n = z_study.n_individuals
     y = np.arange(n) % 2 == 0
     sample = AscertainedSample(indices=np.arange(n), y=y, w=np.where(y, 1.0, -1.0),
-                               n_cases=int(y.sum()), n_controls=int(n - y.sum()),
                                z_study=z_study)
     study = StudyData(sample=sample, design=design_from_prevalences(0.1, 0.5),
-                      liability=LiabilityParams(0.5), n_loci=z_study.n_loci,
+                      liability=LiabilityParams(0.5),
                       population_size=10 * n, seed=0, genotype_kind="standard-normal")
     path = tmp_path / "study.hccd"
     save_dataset(path, study)
@@ -345,7 +344,7 @@ class TestGrmIO:
 
     def test_csv_size_cap(self, tmp_path, monkeypatch):
         monkeypatch.setattr(grm_module, "_CSV_MAX_N", 4)
-        g = GrmView(np.eye(5), 5, 10)
+        g = GrmView(np.eye(5), 10)
         with pytest.raises(ValueError, match="exceeds CSV export cap 4"):
             grm_to_csv(tmp_path / "x.csv", g)
         assert not (tmp_path / "x.csv").exists()

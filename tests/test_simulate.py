@@ -21,6 +21,7 @@ from heritcc.simulate import (
     LiabilityParams,
     StandardizedGenotypes,
     StudyData,
+    _layout,
     ascertain,
     attach_study_genotypes,
     design_from_prevalences,
@@ -571,8 +572,7 @@ class TestDatasetContainer:
         y = RandomSource(32).generator.random(raw.shape[0]) < 0.2
         sample = attach_study_genotypes(ascertain(y, design, RandomSource(33)), raw)
         study = StudyData(sample=sample, design=design, liability=LiabilityParams(0.5),
-                          n_loci=raw.shape[1], population_size=raw.shape[0], seed=31,
-                          genotype_kind=kind)
+                          population_size=raw.shape[0], seed=31, genotype_kind=kind)
         dense = dataclasses.replace(study, sample=dataclasses.replace(
             sample, z_study=StandardizedGenotypes(*_dense_standardize(raw[sample.indices]))))
         save_dataset(tmp_path / "a.hccd", study)
@@ -619,23 +619,34 @@ class TestDatasetContainer:
                                              rf"{expected} bytes, got {expected - 3}"):
             load_dataset(path)
 
+    @staticmethod
+    def _rewrite_header(path, data, header_end, header, body=None):
+        blob = json.dumps(header).encode()
+        body = data[header_end:] if body is None else body
+        path.write_bytes(data[:4] + len(blob).to_bytes(8, "little") + blob + body)
+
+    @staticmethod
+    def _entry_message(path, index, entry, spec):
+        return (f"{path}: array entry {index} is {json.dumps(entry, sort_keys=True)}, "
+                f"expected {json.dumps(spec, sort_keys=True)}")
+
     @pytest.mark.parametrize("name", ["genotype_kind", "z", "dtype"])
     def test_missing_header_key_or_array_is_named(self, tmp_path, name):
         path, data, header_end, sample = self._saved(tmp_path)
         header = json.loads(data[12:header_end])
         body = data[header_end:]
+        layout = _layout(sample.y.shape[0], 30)
         if name in header:
             del header[name]
             message = f"{path}: header lacks {name!r}"
         elif name == "z":  # the first array: drop its entry and its bytes
             header["arrays"] = header["arrays"][1:]
             body = body[sample.z_study.z.nbytes:]
-            message = f"{path}: no array {name!r}"
+            message = self._entry_message(path, 0, layout[1], layout[0])
         else:
             del header["arrays"][1][name]
-            message = f"{path}: array entry {header['arrays'][1]} lacks a name, shape or dtype"
-        blob = json.dumps(header).encode()
-        path.write_bytes(data[:4] + len(blob).to_bytes(8, "little") + blob + body)
+            message = self._entry_message(path, 1, header["arrays"][1], layout[1])
+        self._rewrite_header(path, data, header_end, header, body)
         with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset(path)
 
@@ -643,27 +654,104 @@ class TestDatasetContainer:
     def test_mismatched_arrays_and_header_are_named(self, tmp_path, tamper):
         # a container whose arrays disagree with each other or with its
         # header fails on load, naming the path, not later in an estimator
-        study = simulate_case_control_study(0.3, 0.2, 0.5, 30, 15, seed=21)
-        sample, z = study.sample, study.sample.z_study
+        path, data, header_end, sample = self._saved(tmp_path)
+        header = json.loads(data[12:header_end])
+        z = sample.z_study
         n, cases = sample.y.shape[0], sample.n_cases
-        if tamper == "rows":
-            sample = dataclasses.replace(sample, y=sample.y[:-1], w=sample.w[:-1],
-                                         indices=sample.indices[:-1])
-            message = f"array 'y' has shape ({n - 1},), expected ({n},)"
-        elif tamper == "n_cases":
-            sample = dataclasses.replace(sample, n_cases=cases + 5)
-            message = f"header n_cases is {cases + 5}, the arrays hold {cases}"
+        layout = _layout(n, 30)
+        if tamper == "n_cases":
+            header["n_cases"] = cases + 5
+            self._rewrite_header(path, data, header_end, header)
+            message = f"{path}: header n_cases is {cases + 5}, the arrays hold {cases}"
         elif tamper == "n_loci":
-            study = dataclasses.replace(study, n_loci=29)
-            message = "header n_loci is 29, the arrays hold 30"
+            header["n_loci"] = 29
+            self._rewrite_header(path, data, header_end, header)
+            message = self._entry_message(path, 0, layout[0], _layout(n, 29)[0])
         else:
-            sample = dataclasses.replace(sample, z_study=StandardizedGenotypes(
-                z.z, z.col_means[:-3], z.col_sds))
-            message = "array 'col_means' has shape (27,), expected (30,)"
-        path = tmp_path / "study.hccd"
-        save_dataset(path, dataclasses.replace(study, sample=sample))
+            if tamper == "rows":
+                sample = dataclasses.replace(sample, y=sample.y[:-1], w=sample.w[:-1],
+                                             indices=sample.indices[:-1])
+                index, shape = 3, [n - 1]
+            else:
+                sample = dataclasses.replace(sample, z_study=StandardizedGenotypes(
+                    z.z, z.col_means[:-3], z.col_sds))
+                index, shape = 1, [27]
+            study = simulate_case_control_study(0.3, 0.2, 0.5, 30, 15, seed=21)
+            save_dataset(path, dataclasses.replace(study, sample=sample))
+            message = self._entry_message(path, index, dict(layout[index], shape=shape),
+                                          layout[index])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key, value", [("n", 38.0), ("n_loci", 30.0), ("n", True),
+                                            ("n_loci", -1), ("n", "38"), ("n_loci", None)])
+    def test_sizes_must_be_nonnegative_integers(self, tmp_path, key, value):
+        path, data, header_end, _ = self._saved(tmp_path)
+        header = json.loads(data[12:header_end])
+        header[key] = value
+        self._rewrite_header(path, data, header_end, header)
+        message = f"{path}: header {key} must be an integer >= 0, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("blob", [b"5", b"[1, 2]", b'"version n"', b"{", b"\xff"])
+    def test_header_must_be_a_json_object(self, tmp_path, blob):
+        path, data, header_end, _ = self._saved(tmp_path)
+        path.write_bytes(data[:4] + len(blob).to_bytes(8, "little") + blob + data[header_end:])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header is not a JSON object")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("change", ["not a list", "float shape", "extra", "reordered",
+                                        "renamed"])
+    def test_arrays_must_be_the_layout(self, tmp_path, change):
+        # the header lists exactly the six arrays, in file order, with the
+        # shapes its n and n_loci give; no other listing is read
+        path, data, header_end, sample = self._saved(tmp_path)
+        header = json.loads(data[12:header_end])
+        n = sample.y.shape[0]
+        layout, entries = _layout(n, 30), header["arrays"]
+        if change == "not a list":
+            header["arrays"], index, entry = 5, 0, 5
+        elif change == "float shape":
+            entries[0]["shape"] = [float(n), 30]
+            index, entry = 0, entries[0]
+        elif change == "extra":
+            entries.append({"dtype": "uint8", "name": "extra", "shape": [0]})
+            index, entry = 6, entries[6]
+        elif change == "reordered":
+            entries[3], entries[4] = entries[4], entries[3]
+            index, entry = 3, entries[3]
+        else:
+            entries[5]["name"] = "rows"
+            index, entry = 5, entries[5]
+        self._rewrite_header(path, data, header_end, header)
+        spec = layout[index] if index < len(layout) else None
+        with pytest.raises(ValueError, match=re.escape(
+                self._entry_message(path, index, entry, spec))):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("population_prevalence", 0.9, "population prevalence 0.9 exceeds study prevalence 0.5"),
+        ("study_prevalence", "0.5", "'<' not supported between instances of 'float' and 'str'"),
+        ("heritability", 2.0, "heritability must lie in [0, 1], got 2.0"),
+    ])
+    def test_model_parameters_the_model_refuses_are_named(self, tmp_path, key, value, message):
+        path, data, header_end, _ = self._saved(tmp_path)
+        header = json.loads(data[12:header_end])
+        header[key] = value
+        self._rewrite_header(path, data, header_end, header)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_dataset(path)
+
+    @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
+    def test_header_lists_the_layout(self, tmp_path, kind):
+        study = simulate_case_control_study(0.5, 0.1, 0.5, 40, 20, seed=5, genotype_kind=kind)
+        path = tmp_path / "study.hccd"
+        save_dataset(path, study)
+        data = path.read_bytes()
+        header = json.loads(data[12:12 + int.from_bytes(data[4:12], "little")])
+        assert (header["n"], header["n_loci"]) == (study.sample.y.shape[0], 40)
+        assert header["arrays"] == _layout(header["n"], header["n_loci"])
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path, data, _, _ = self._saved(tmp_path)
