@@ -336,7 +336,8 @@ def _cmd_consistency(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     _usage(parser, check_workers, args.threads)
     _print_config("consistency", vars(args))
     rows = run_consistency_study(**study, workers=args.threads)
-    meta = {k: vars(args)[k] for k in ("eta", "K", "P", "ratio_a", "replications", "seed")}
+    meta = {k: vars(args)[k] for k in ("eta", "K", "P", "ratio_a", "replications", "seed",
+                                      "genotype_kind")}
     _atomic_produce(Path(args.out), lambda tmp: write_consistency_csv(tmp, rows, meta))
     for row in rows:
         print(f"n_loci={row.n_loci} n~{row.target_n}: rmse={row.rmse:.4f} sd={row.sd:.4f}")

@@ -10,16 +10,17 @@ heritability, so one sweep over pairs yields five coefficients, and its
 minimum on [0, 1] lies at an endpoint or at a real root of the cubic
 derivative.
 
-Both estimators read the relationship matrix in row panels, with the
-diagonal set to 0, and keep only per-row sums from each panel; the totals
-are dot products of those row sums, so memory is O(n * panel) and no n x n
-array is formed. The first-order pass keeps two row sums, of the entries
-weighted by the phenotype vector and of the squared entries. The
-second-order sweep keeps per-row sums of the first four elementwise powers
-of the scaled off-diagonal entries, weighted by the phenotype vector, by the
-scaled diagonal excess or by one; they include the first-order ones, and the
-sweep makes the same input checks, so the second-order estimate does not run
-the first-order one. The dense per-pair pieces remain as the definition that
+Both estimators read the relationship matrix in row panels of at most
+``simulate._BUFFER_BYTES``, with the diagonal set to 0, and keep only
+per-row sums from each panel; the totals are dot products of those row sums,
+so memory is a few panels plus O(n) and no n x n array is formed. The
+first-order pass keeps two row sums, of the entries weighted by the
+phenotype vector and of the squared entries. The second-order sweep keeps
+per-row sums of the first four elementwise powers of the scaled off-diagonal
+entries, weighted by the phenotype vector, by the scaled diagonal excess or
+by one; they include the first-order ones, and the sweep makes the same
+input checks, so the second-order estimate does not run the first-order one.
+The dense per-pair pieces remain as the definition that
 ``second_order_objective`` evaluates directly.
 """
 
@@ -152,7 +153,7 @@ def _objective_coefficients(sample: AscertainedSample, g: GrmView,
     c2 = beta a_i a_j + gamma B_2 + delta B (a_i + a_j). Every sum over pairs
     of products of w_i w_j, c1 and c2 is then a dot product of w, a or 1
     with a row sum of B_k against w, a or 1. One pass over row panels of G
-    collects those row sums: O(n * panel) memory, no n x n temporary. The
+    collects those row sums: a few panels of memory, no n x n temporary. The
     sums use einsum and elementwise reductions, never BLAS, whose rounding
     depends on the thread count; each row sum sees one whole row, so the
     result does not depend on the panel height either. The row sums of B w

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .simulate import _rows_per_block
+
 __all__ = [
     "GrmView",
     "SigmaPair",
@@ -88,21 +90,17 @@ def sigma_pair(g: GrmView, i: int, j: int) -> SigmaPair:
     )
 
 
-# Rows per panel of a sweep over pairs: a panel of n float64 columns is
-# n * 2 KiB, so a sweep holds O(n * panel) memory whatever the study size.
-_PANEL_ROWS = 256
-
-
 def _offdiagonal_panels(g: np.ndarray):
-    """Yield ``(first_row, panel)`` over blocks of ``_PANEL_ROWS`` rows of the
-    square matrix ``g``.
+    """Yield ``(first_row, panel)`` over row blocks of the square matrix
+    ``g``, each as high as :func:`simulate._rows_per_block` allows.
 
     Each panel is a fresh copy of those rows with their diagonal entries set
     to 0, so the caller may overwrite it. Each row's entries are the same
     whatever the panel height, so row-wise results are too.
     """
-    for lo in range(0, g.shape[0], _PANEL_ROWS):
-        panel = g[lo:lo + _PANEL_ROWS].copy()
+    height = _rows_per_block(*g.shape)
+    for lo in range(0, g.shape[0], height):
+        panel = g[lo:lo + height].copy()
         rows = np.arange(panel.shape[0])
         panel[rows, lo + rows] = 0.0
         yield lo, panel

@@ -52,13 +52,15 @@ _STREAM_EFFECTS = 1
 _STREAM_SELECTION = 2
 _STREAM_FREQS = 3
 
-# Every kind draws each block of rows into one reused float64 buffer of this
-# size, so the draw adds this much memory to the raw population whatever the
-# population size.
+# The memory of one block of every blocked pass (the population draw, the
+# liability pass and each panel of a relationship-matrix sweep), whatever the
+# population or study size.
 _BUFFER_BYTES = 1 << 22
-# Rows per einsum of the liability pass; count kinds unpack this many rows of
-# their bit planes at a time.
-_LIABILITY_ROWS = 512
+
+
+def _rows_per_block(n_rows: int, n_cols: int) -> int:
+    """Rows of ``n_cols`` float64 values in ``_BUFFER_BYTES``, 1 to ``n_rows``."""
+    return max(1, min(n_rows, _BUFFER_BYTES // (8 * n_cols)))
 
 
 @dataclass(frozen=True)
@@ -324,7 +326,7 @@ def _draw_population(dist: GenotypeDistribution, n_population: int, n_loci: int,
     once the draw is done: numpy adds the rows of a row-major matrix one
     after the other, in float64.
     """
-    block_rows = max(1, min(n_population, _BUFFER_BYTES // (8 * n_loci)))
+    block_rows = _rows_per_block(n_population, n_loci)
     buf = np.empty((block_rows, n_loci))
     normal = dist.kind == "standard-normal"
     if normal:
@@ -344,20 +346,18 @@ def _draw_population(dist: GenotypeDistribution, n_population: int, n_loci: int,
         hits = np.zeros((len(compares), n_loci), dtype=np.int64)
         hit = np.empty((block_rows, n_loci), dtype=bool)
         # one block's column counts, in the narrowest integer that holds them
-        block_count = (np.uint8 if block_rows <= 0xFF else
-                       np.uint16 if block_rows <= 0xFFFF else np.int64)
+        block_count = np.min_scalar_type(block_rows)
     for lo in range(0, n_population, block_rows):
-        hi = min(lo + block_rows, n_population)
-        x = buf[:hi - lo]
+        x = buf[:n_population - lo]
         if normal:
             gen.standard_normal(out=x)
-            raw[lo:hi] = x
+            raw[lo:lo + block_rows] = x
         else:
             gen.random(out=x)
-            h = hit[:hi - lo]
+            h = hit[:n_population - lo]
             for k, (compare, threshold) in enumerate(compares):
                 compare(x, threshold, out=h)
-                raw.planes[k, lo:hi] = np.packbits(h, axis=1)
+                raw.planes[k, lo:lo + block_rows] = np.packbits(h, axis=1)
                 hits[k] += np.add.reduce(h.view(np.uint8), axis=0, dtype=block_count)
     if normal:
         return (raw, np.add.reduce(raw, axis=0, dtype=np.float64),
@@ -389,11 +389,11 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     for ``binomial-2-p``, N * M / 8 for ``rademacher``, N * M * 4 for
     ``standard-normal``) plus a few MB. The column sums do not depend on the
     block height: count kinds count hits exactly, and ``standard-normal``
-    reduces its whole float32 matrix at the end. The liability pass runs one
-    einsum per ``_LIABILITY_ROWS`` raw rows: no float64 copy of them, and no
-    BLAS, whose products round differently at different thread counts. Each row's sum is
-    the same whatever the block, so the liabilities do not depend on the
-    block height.
+    reduces its whole float32 matrix at the end. The liability pass walks
+    the draw's row blocks with one einsum each: no float64 copy of the rows,
+    and no BLAS, whose products round differently at different thread
+    counts. Each row's sum is the same whatever the block, so the
+    liabilities do not depend on the block height.
     """
     _check_loci(dist, n_loci)
     raw, col_sum, col_sumsq = _draw_population(
@@ -410,9 +410,9 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     e = gen_fx.standard_normal(n_population) * math.sqrt(1.0 - lp.heritability)
     v = u / sds
     liabilities = np.empty(n_population)
-    for lo in range(0, n_population, _LIABILITY_ROWS):
-        hi = min(lo + _LIABILITY_ROWS, n_population)
-        np.einsum("ij,j->i", raw[lo:hi], v, out=liabilities[lo:hi])
+    rows = _rows_per_block(n_population, n_loci)  # the draw's blocks
+    for lo in range(0, n_population, rows):
+        np.einsum("ij,j->i", raw[lo:lo + rows], v, out=liabilities[lo:lo + rows])
     liabilities -= np.einsum("j,j->", means, v)
     liabilities += e
     y = liabilities > design.threshold
@@ -591,10 +591,14 @@ def load_dataset(path: str | Path) -> StudyData:
             raise ValueError(f"{path}: header lacks {', '.join(map(repr, missing))}")
         if header["version"] != _VERSION:
             raise ValueError(f"{path}: unsupported container version {header['version']}")
-        for key in ("n", "n_loci"):
-            if type(header[key]) is not int or header[key] < 0:
-                raise ValueError(f"{path}: header {key} must be an integer >= 0, "
+        # n is checked before it bounds the population size
+        for key, low in (("n", 0), ("n_loci", 0), ("seed", 0), ("population_size", header["n"])):
+            if type(header[key]) is not int or header[key] < low:
+                raise ValueError(f"{path}: header {key} must be an integer >= {low}, "
                                  f"got {_json(header[key])}")
+        if header["genotype_kind"] not in GENOTYPE_KINDS:
+            raise ValueError(f"{path}: header genotype_kind must be one of "
+                             f"{_json(GENOTYPE_KINDS)}, got {_json(header['genotype_kind'])}")
         layout = _layout(header["n"], header["n_loci"])
         entries = header["arrays"] if isinstance(header["arrays"], list) else [header["arrays"]]
         for i, (entry, spec) in enumerate(itertools.zip_longest(entries, layout)):

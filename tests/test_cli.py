@@ -14,6 +14,7 @@ import pytest
 
 import heritcc
 from heritcc import cli
+from heritcc import simulate as simulate_module
 from heritcc.cli import main
 
 
@@ -220,6 +221,26 @@ class TestExperimentCommand:
             b2 = (tmp_path / "run2" / name).read_bytes()
             assert b1 == b2
 
+    def test_same_bytes_at_any_worker_count_and_block_budget(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # one worker with a budget of three 300-locus rows, so the draw, the
+        # liability pass and the relationship-matrix panels all take odd
+        # heights; two spawned workers, which keep the default budget
+        args = [
+            "experiment", "--eta", "0.5", "--K", "0.2", "--P", "0.5",
+            "--n-loci", "300", "--target-cases", "25", "--replications", "4",
+            "--seed", "13", "--methods", "first,second",
+            "--genotype-kind", "standard-normal",
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate_module, "_BUFFER_BYTES", 3 * 8 * 300)
+            code, _, _ = _run(capsys, *args, "--threads", "1", "--out-dir", str(tmp_path / "one"))
+        assert code == 0
+        code, _, _ = _run(capsys, *args, "--threads", "2", "--out-dir", str(tmp_path / "two"))
+        assert code == 0
+        for name in ("records.csv", "summary.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
     def test_config_file_flags_win(self, capsys, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text(
@@ -304,6 +325,23 @@ class TestConsistencyCommand:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0].startswith("n_loci,")
         assert len(data) == 3
+
+    def test_config_lines_name_the_genotype_kind(self, capsys, tmp_path):
+        # two runs that differ only in the kind differ in its config line
+        lines = {}
+        for kind in ("standard-normal", "rademacher"):
+            out = tmp_path / f"{kind}.csv"
+            code, _, _ = _run(
+                capsys, "consistency", "--K", "0.2", "--ratio-a", "0.05", "--N-values", "200",
+                "--replications", "2", "--genotype-kind", kind, "--threads", "1",
+                "--out", str(out),
+            )
+            assert code == 0
+            lines[kind] = [l for l in out.read_text().splitlines() if l.startswith("#")]
+        assert "# genotype_kind=standard-normal" in lines["standard-normal"]
+        assert "# genotype_kind=rademacher" in lines["rademacher"]
+        assert {l for l in lines["standard-normal"] if "genotype_kind" not in l} == \
+            {l for l in lines["rademacher"] if "genotype_kind" not in l}
 
     def test_row_without_usable_replication_is_warned_about(self, capsys, tmp_path):
         out = tmp_path / "consistency.csv"

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heritcc import grm as grm_module
+from heritcc import simulate as simulate_module
 from heritcc.estimators import (
     estimate_first_order,
     estimate_second_order,
@@ -16,7 +16,7 @@ from heritcc.estimators import (
     _pair_moment_pieces,
     _pair_sums,
 )
-from heritcc.grm import GrmView, grm_compute
+from heritcc.grm import GrmView, event_en_check, grm_compute, mean_square_offdiagonal
 from heritcc.moments import moment_weights, pair_moment_slope, second_order_pair_expectation
 from heritcc.grm import sigma_pair
 from heritcc.numerics import rng_create
@@ -344,8 +344,8 @@ class TestPanelSweep:
     @pytest.mark.parametrize("kind", ["standard-normal", "binomial-2-p", "rademacher"])
     @pytest.mark.parametrize("n", [2, 255, 256, 257, 600])
     def test_matches_dense_pieces(self, kind, n):
-        # n around the 256-row panel height: one short panel, one exact
-        # panel, a one-row tail and several panels
+        # at the default block budget every n here is one panel; the
+        # panel-height tests below split them
         sample, g = _study_of_size(n, kind)
         fast = _objective_coefficients(sample, g, REFERENCE)
         dense = _dense_coefficients(sample, g, REFERENCE)
@@ -355,7 +355,7 @@ class TestPanelSweep:
     def test_panel_height_does_not_change_coefficients(self, monkeypatch, rows):
         sample, g = _study_of_size(600, "binomial-2-p")
         default = _objective_coefficients(sample, g, REFERENCE)
-        monkeypatch.setattr(grm_module, "_PANEL_ROWS", rows)
+        monkeypatch.setattr(simulate_module, "_BUFFER_BYTES", rows * 8 * 600)
         assert np.array_equal(_objective_coefficients(sample, g, REFERENCE), default)
 
     def test_peak_memory_is_panels_not_matrices(self):
@@ -374,6 +374,26 @@ class TestPanelSweep:
             finally:
                 tracemalloc.stop()
             assert peak < 0.5 * one_matrix, fn.__name__
+
+    def test_peak_memory_follows_the_block_budget(self):
+        # each sweep holds at most three panels of the block budget (the
+        # panel, the next one and a power of it) plus O(n) row sums,
+        # whatever n: at n = 3000 a panel is 174 rows
+        n = 3000
+        g = grm_compute(standardize(np.random.default_rng(5).normal(size=(n, 20))))
+        sample = _sample_from_w(np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
+        bound = 3 * simulate_module._BUFFER_BYTES + (1 << 20)
+        for fn, args in [(estimate_second_order, (sample, g, REFERENCE, g.n_loci)),
+                         (estimate_first_order, (sample, g, REFERENCE)),
+                         (event_en_check, (g, 0.05)),
+                         (mean_square_offdiagonal, (g,))]:
+            tracemalloc.start()
+            try:
+                fn(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (fn.__name__, peak)
 
 
 def _dense_pair_sums(w, g):
@@ -394,7 +414,7 @@ class TestPairSumPanels:
     def test_panel_height_does_not_change_sums(self, monkeypatch, rows):
         sample, g = _study_of_size(600, "binomial-2-p")
         default = _pair_sums(sample.w, g.g)
-        monkeypatch.setattr(grm_module, "_PANEL_ROWS", rows)
+        monkeypatch.setattr(simulate_module, "_BUFFER_BYTES", rows * 8 * 600)
         assert _pair_sums(sample.w, g.g) == default
 
 

@@ -12,6 +12,7 @@ import pytest
 from _zmoments import z_property_suite
 
 from heritcc import grm as grm_module
+from heritcc import simulate as simulate_module
 from heritcc.grm import (
     GrmView,
     event_en_check,
@@ -168,7 +169,7 @@ class TestEventEnCheckPanels:
     @pytest.mark.parametrize("rows", [None, 7])
     def test_exactly_the_dense_formula(self, monkeypatch, n, rows):
         if rows is not None:
-            monkeypatch.setattr(grm_module, "_PANEL_ROWS", rows)
+            monkeypatch.setattr(simulate_module, "_BUFFER_BYTES", rows * 8 * n)
         g = grm_compute(_random_z(n, 50, n))
         res = event_en_check(g, 0.05)
         assert (res.holds, res.sup_diag_dev, res.sup_offdiag, res.eps_n) == \
@@ -282,7 +283,7 @@ class TestMeanSquareOffdiagonal:
     def test_panel_height_does_not_change_value(self, monkeypatch, rows):
         g = grm_compute(_random_z(600, 50, 6))
         default = mean_square_offdiagonal(g)
-        monkeypatch.setattr(grm_module, "_PANEL_ROWS", rows)
+        monkeypatch.setattr(simulate_module, "_BUFFER_BYTES", rows * 8 * 600)
         assert mean_square_offdiagonal(g) == default
 
     def test_peak_memory_is_panels_not_matrices(self):
@@ -402,12 +403,14 @@ class TestGrmIO:
 
 
 class TestLayering:
-    def test_grm_loads_no_other_heritcc_module(self):
-        # the relationship matrix sits below simulation and numerics
+    def test_grm_loads_only_simulate_and_numerics(self):
+        # the relationship matrix takes its panel height from simulate's
+        # block rule and sits below the moments, estimators and runners
         code = ("import sys, heritcc.grm; "
                 "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'heritcc'))")
         env = dict(os.environ, PYTHONPATH=str(Path(grm_module.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["heritcc", "heritcc.grm"]
+        assert proc.stdout.split() == ["heritcc", "heritcc.grm", "heritcc.numerics",
+                                       "heritcc.simulate"]

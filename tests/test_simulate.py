@@ -275,8 +275,8 @@ class TestSimulatePopulation:
     @pytest.mark.parametrize("kind", ["binomial-2-p", "rademacher", "standard-normal"])
     def test_every_kind_exact_across_block_sizes_and_dense_route(self, monkeypatch, kind):
         # genotypes, liabilities and phenotypes are the same bits whatever
-        # the block height (None is the default budget) and the genotypes
-        # match the dense route
+        # the block height of the draw and the liability pass (None is the
+        # default budget) and the genotypes match the dense route
         lp = LiabilityParams(0.5)
         design = design_from_prevalences(0.1, 0.5)
         dist = make_distribution(kind, 48, RandomSource(31).spawn(3))
@@ -338,7 +338,7 @@ class TestSimulatePopulation:
     @pytest.mark.parametrize("rows", [1, 255, 256, 65_535, 65_536])
     def test_column_counts_exact_at_every_block_height(self, monkeypatch, kind, rows):
         # a block's counts sum in uint8 up to 255 rows, uint16 up to 65,535
-        # and int64 above; allele frequencies next to 1 make every row of a
+        # and uint32 above; allele frequencies next to 1 make every row of a
         # block a hit on both planes, the most each accumulator must hold
         n_loci, n = 4, 2 * rows + 3
         dist = (GenotypeDistribution(kind, np.array([1.0 - 1e-12, 0.5, 0.95, 1e-12]))
@@ -691,6 +691,26 @@ class TestDatasetContainer:
         header[key] = value
         self._rewrite_header(path, data, header_end, header)
         message = f"{path}: header {key} must be an integer >= 0, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("genotype_kind", "no-such-kind"), ("genotype_kind", None),
+        ("population_size", "many"), ("population_size", 3), ("population_size", True),
+        ("seed", 1.5), ("seed", -1), ("seed", True)])
+    def test_provenance_must_be_valid(self, tmp_path, key, value):
+        # a kind heritcc draws, a population at least the study's n rows and
+        # a seed that RandomSource takes
+        path, data, header_end, sample = self._saved(tmp_path)
+        header = json.loads(data[12:header_end])
+        header[key] = value
+        self._rewrite_header(path, data, header_end, header)
+        if key == "genotype_kind":
+            kinds = json.dumps(list(simulate_module.GENOTYPE_KINDS))
+            message = f"{path}: header genotype_kind must be one of {kinds}, got {json.dumps(value)}"
+        else:
+            low = sample.y.shape[0] if key == "population_size" else 0
+            message = f"{path}: header {key} must be an integer >= {low}, got {json.dumps(value)}"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset(path)
 
