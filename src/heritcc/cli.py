@@ -25,7 +25,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .estimators import estimate_first_order, estimate_second_order
+from .estimators import METHODS, estimate
 from .experiments import (
     ExperimentConfig,
     check_timing_grid,
@@ -178,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate heritability from a dataset")
     est.set_defaults(run=_cmd_estimate, parser=est)
     est.add_argument("--in", dest="input", required=True)
-    est.add_argument("--method", choices=("first", "second", "both"), default="both")
+    est.add_argument("--method", choices=(*METHODS, "both"), default="both")
     est.add_argument("--out", help="write a JSON report here (stdout otherwise)")
 
     exp = sub.add_parser("experiment", help="replication study")
@@ -188,8 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--n-loci", type=int, default=10_000)
     exp.add_argument("--target-cases", type=int, default=100)
     exp.add_argument("--replications", type=int, default=200)
-    exp.add_argument("--methods", type=_method_list, default="first,second",
-                     help="comma-separated subset of first,second")
+    exp.add_argument("--methods", type=_method_list, default=METHODS,
+                     help=f"comma-separated subset of {','.join(METHODS)}")
     exp.add_argument("--threads", type=int, default=threads)
     exp.add_argument("--out-dir", required=True)
 
@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(run=_cmd_bench, parser=bench)
     bench.add_argument("--n-values", type=int, nargs="+", default=[100, 1000])
     bench.add_argument("--N-values", type=int, nargs="+", default=[1000, 10_000])
-    bench.add_argument("--methods", type=_method_list, default="first,second")
+    bench.add_argument("--methods", type=_method_list, default=METHODS)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", required=True)
 
@@ -277,11 +277,8 @@ def _cmd_estimate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     _print_config("estimate", vars(args))
     data = load_dataset(args.input)
     g = grm_compute(data.sample.z_study)
-    reports = []
-    if args.method in ("first", "both"):
-        reports.append(estimate_first_order(data.sample, g, data.design))
-    if args.method in ("second", "both"):
-        reports.append(estimate_second_order(data.sample, g, data.design, data.n_loci))
+    methods = METHODS if args.method == "both" else (args.method,)
+    reports = [estimate(m, data.sample, g, data.design) for m in methods]
     payload = {
         "input": str(args.input),
         "n": data.sample.y.shape[0],

@@ -22,6 +22,8 @@ by one; they include the first-order ones, and the sweep makes the same
 input checks, so the second-order estimate does not run the first-order one.
 The dense per-pair pieces remain as the definition that
 ``second_order_objective`` evaluates directly.
+
+``METHODS`` names the two estimators, and :func:`estimate` runs one by name.
 """
 
 from __future__ import annotations
@@ -36,11 +38,15 @@ from .moments import moment_weights, pair_moment_slope
 from .simulate import AscertainedSample, StudyDesign
 
 __all__ = [
+    "METHODS",
     "EstimateReport",
+    "estimate",
     "estimate_first_order",
     "second_order_objective",
     "estimate_second_order",
 ]
+
+METHODS = ("first", "second")
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -244,3 +250,12 @@ def estimate_second_order(sample: AscertainedSample, g: GrmView,
         converged=converged,
         objective_value=float(values[best]),
     )
+
+
+def estimate(method: str, sample: AscertainedSample, g: GrmView,
+             design: StudyDesign) -> EstimateReport:
+    """Run estimator ``method`` of ``METHODS`` by its global name, which tracers wrap."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; valid: {METHODS}")
+    return (estimate_first_order(sample, g, design) if method == "first"
+            else estimate_second_order(sample, g, design, g.n_loci))

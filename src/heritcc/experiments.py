@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import estimate_first_order, estimate_second_order
+from .estimators import METHODS, estimate
 from .grm import event_en_check, grm_compute, mean_square_offdiagonal
 from .numerics import RandomSource
 from .simulate import (
@@ -68,7 +68,6 @@ __all__ = [
     "summarize_records",
 ]
 
-METHODS = ("first", "second")
 _EN_GAMMA = 0.05
 # Thread-count variables of the BLAS builds numpy links against; read once,
 # when a process loads its BLAS.
@@ -165,7 +164,7 @@ class ExperimentConfig:
     target_cases: int = 100
     replications: int = 200
     seed: int = 20_260_101
-    methods: tuple[str, ...] = ("first", "second")
+    methods: tuple[str, ...] = METHODS
     genotype_kind: str = "binomial-2-p"
 
     def __post_init__(self) -> None:
@@ -223,11 +222,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
         study = simulate_study(cfg, _replication_seed_stream(cfg.seed, rep_index))
         sample = study.sample
         g = grm_compute(sample.z_study)
-        eta_hat: dict[str, float] = {}
-        if "first" in cfg.methods:
-            eta_hat["first"] = estimate_first_order(sample, g, study.design).eta_hat
-        if "second" in cfg.methods:
-            eta_hat["second"] = estimate_second_order(sample, g, study.design, g.n_loci).eta_hat
+        eta_hat = {m: estimate(m, sample, g, study.design).eta_hat for m in cfg.methods}
         return ReplicationRecord(
             rep_index=rep_index,
             realized_n=int(sample.y.shape[0]),
@@ -327,13 +322,8 @@ def _timing_inputs(n: int, n_loci: int, seed: int):
     return raw, sample
 
 
-def _run_estimation(raw, sample, design, n_loci: int, method: str) -> None:
-    z = standardize(raw)
-    g = grm_compute(z)
-    if method == "first":
-        estimate_first_order(sample, g, design)
-    else:
-        estimate_second_order(sample, g, design, n_loci)
+def _run_estimation(raw, sample, design, method: str) -> None:
+    estimate(method, sample, grm_compute(standardize(raw)), design)
 
 
 def check_timing_grid(n_values: list[int], n_loci_values: list[int],
@@ -350,7 +340,7 @@ def check_timing_grid(n_values: list[int], n_loci_values: list[int],
 
 
 def run_timing(n_values: list[int], n_loci_values: list[int],
-               methods: tuple[str, ...] = ("first", "second"),
+               methods: tuple[str, ...] = METHODS,
                seed: int = 0, repeats: int = 3) -> list[TimingRow]:
     """Median-of-``repeats`` wall time per grid point, one warm-up run each.
 
@@ -367,11 +357,11 @@ def run_timing(n_values: list[int], n_loci_values: list[int],
             raw, sample = _timing_inputs(n, n_loci, seed)
             times = {method: [] for method in methods}
             for method in methods:
-                _run_estimation(raw, sample, _TIMING_DESIGN, n_loci, method)  # warm-up
+                _run_estimation(raw, sample, _TIMING_DESIGN, method)  # warm-up
             for _ in range(repeats):
                 for method in methods:
                     t0 = time.perf_counter()
-                    _run_estimation(raw, sample, _TIMING_DESIGN, n_loci, method)
+                    _run_estimation(raw, sample, _TIMING_DESIGN, method)
                     times[method].append(time.perf_counter() - t0)
             rows.extend(TimingRow(n, n_loci, method, statistics.median(times[method]))
                         for method in methods)

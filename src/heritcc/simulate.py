@@ -85,6 +85,7 @@ class GenotypeDistribution:
             freqs = np.asarray(self.allele_freqs, dtype=np.float64)
             if freqs.ndim != 1 or not np.all((freqs > 0.0) & (freqs < 1.0)):
                 raise ValueError("allele frequencies must be a 1-d vector strictly inside (0, 1)")
+            object.__setattr__(self, "allele_freqs", freqs)  # the checked array, not a list
 
     @property
     def n_loci(self) -> int | None:
@@ -589,8 +590,8 @@ def load_dataset(path: str | Path) -> StudyData:
         missing = [key for key in _HEADER_KEYS if key not in header]
         if missing:
             raise ValueError(f"{path}: header lacks {', '.join(map(repr, missing))}")
-        if header["version"] != _VERSION:
-            raise ValueError(f"{path}: unsupported container version {header['version']}")
+        if _json(header["version"]) != _json(_VERSION):
+            raise ValueError(f"{path}: unsupported container version {_json(header['version'])}")
         # n is checked before it bounds the population size
         for key, low in (("n", 0), ("n_loci", 0), ("seed", 0), ("population_size", header["n"])):
             if type(header[key]) is not int or header[key] < low:
@@ -622,15 +623,26 @@ def load_dataset(path: str | Path) -> StudyData:
     sample = AscertainedSample(indices=arrays["indices"], y=arrays["y"].astype(bool),
                                w=arrays["w"], z_study=z_study)
     for key in ("n_cases", "n_controls"):
-        if header[key] != getattr(sample, key):
-            raise ValueError(f"{path}: header {key} is {header[key]}, "
+        if _json(header[key]) != _json(getattr(sample, key)):
+            raise ValueError(f"{path}: header {key} is {_json(header[key])}, "
                              f"the arrays hold {getattr(sample, key)}")
+    # Python takes true for 1; a string or null the model refuses itself
+    for key in ("population_prevalence", "study_prevalence", "heritability"):
+        if isinstance(header[key], bool):
+            raise ValueError(f"{path}: header {key} must be a JSON number, "
+                             f"got {_json(header[key])}")
     try:
         design = design_from_prevalences(header["population_prevalence"],
                                          header["study_prevalence"])
         liability = LiabilityParams(header["heritability"])
     except (TypeError, ValueError) as exc:  # a value the model refuses, or not a number
         raise ValueError(f"{path}: {exc}") from None
+    w = _centered_w(sample.y, design)
+    differ = np.flatnonzero(w.view(np.int64) != sample.w.view(np.int64))
+    if differ.size:
+        i = int(differ[0])
+        raise ValueError(f"{path}: w[{i}] is {float(sample.w[i])!r}, "
+                         f"the phenotypes center to {float(w[i])!r}")
     return StudyData(sample=sample, design=design, liability=liability,
                      population_size=header["population_size"], seed=header["seed"],
                      genotype_kind=header["genotype_kind"])

@@ -9,6 +9,8 @@ import pytest
 
 from heritcc import simulate as simulate_module
 from heritcc.estimators import (
+    METHODS,
+    estimate,
     estimate_first_order,
     estimate_second_order,
     second_order_objective,
@@ -431,3 +433,20 @@ class TestSecondOrderInputChecks:
         with pytest.raises(ValueError) as second:
             estimate_second_order(sample, g, REFERENCE, 100)
         assert str(second.value) == str(first.value)
+
+
+class TestEstimateByName:
+    @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal"])
+    def test_same_report_as_the_direct_call(self, kind):
+        sample, g, design = _simulated_inputs(seed=4, n_loci=500, target_cases=40, kind=kind)
+        direct = {"first": estimate_first_order(sample, g, design),
+                  "second": estimate_second_order(sample, g, design, g.n_loci)}
+        assert METHODS == ("first", "second")
+        for method in METHODS:
+            # repr writes every float exactly, so equal text is equal bits
+            assert repr(estimate(method, sample, g, design)) == repr(direct[method])
+
+    def test_unknown_method_is_named(self):
+        sample, g, design = _simulated_inputs(seed=4, n_loci=500, target_cases=40)
+        with pytest.raises(ValueError, match=r"unknown method 'third'; valid: \('first', 'second'\)"):
+            estimate("third", sample, g, design)

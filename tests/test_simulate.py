@@ -221,6 +221,13 @@ class TestSimulatePopulation:
             population_sample(dist, 10, 5, LiabilityParams(0.5),
                               design_from_prevalences(0.1, 0.5), RandomSource(1))
 
+    def test_list_of_frequencies_draws_as_the_equal_array(self):
+        freqs = [0.3, 0.5, 0.05, 0.9]
+        listed, array = (GenotypeDistribution("binomial-2-p", f) for f in (freqs, np.array(freqs)))
+        assert listed.n_loci == 4
+        assert np.array_equal(sample_genotype_matrix(listed, 50, 4, RandomSource(7)),
+                              sample_genotype_matrix(array, 50, 4, RandomSource(7)))
+
     def test_zero_heritability_is_pure_environment(self):
         rs = rng_create(3)
         a = sample_genotype_matrix(make_distribution("standard-normal", 20, rs), 500, 20, rs.spawn(0))
@@ -762,6 +769,46 @@ class TestDatasetContainer:
         self._rewrite_header(path, data, header_end, header)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_dataset(path)
+
+    @pytest.mark.parametrize("key, value", [("version", 1.0), ("version", True),
+                                            ("n_cases", "float"), ("n_controls", "float"),
+                                            ("heritability", True), ("heritability", False),
+                                            ("study_prevalence", True)])
+    def test_header_numbers_must_have_their_json_type(self, tmp_path, key, value):
+        # 1.0 and true are not 1, and a bool is no heritability or prevalence
+        path, data, header_end, sample = self._saved(tmp_path)
+        header = json.loads(data[12:header_end])
+        if value == "float":
+            value = float(header[key])
+        header[key] = value
+        self._rewrite_header(path, data, header_end, header)
+        if key == "version":
+            message = f"{path}: unsupported container version {json.dumps(value)}"
+        elif key in ("n_cases", "n_controls"):
+            message = (f"{path}: header {key} is {json.dumps(value)}, "
+                       f"the arrays hold {getattr(sample, key)}")
+        else:
+            message = f"{path}: header {key} must be a JSON number, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(path)
+
+    def test_w_must_be_the_centered_phenotypes(self, tmp_path):
+        path, data, header_end, sample = self._saved(tmp_path)
+        # w follows z and the two column vectors of 30 loci
+        at = header_end + sample.z_study.z.nbytes + 2 * 30 * 8 + 3 * 8
+        flipped = np.frombuffer(data[at:at + 8]) * -1.0
+        path.write_bytes(data[:at] + flipped.tobytes() + data[at + 8:])
+        w = float(sample.w[3])
+        message = f"{path}: w[3] is {-w!r}, the phenotypes center to {w!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
+    @pytest.mark.parametrize("k, p", [(0.1, 0.5), (0.01, 0.3), (0.3, 0.7)])
+    def test_saved_studies_load_with_their_w(self, tmp_path, kind, k, p):
+        study = simulate_case_control_study(0.5, k, p, 40, 20, seed=6, genotype_kind=kind)
+        save_dataset(tmp_path / "study.hccd", study)
+        assert np.array_equal(load_dataset(tmp_path / "study.hccd").sample.w, study.sample.w)
 
     @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
     def test_header_lists_the_layout(self, tmp_path, kind):
