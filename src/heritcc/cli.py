@@ -21,12 +21,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
 from .estimators import METHODS, estimate
 from .experiments import (
+    CONSISTENCY_GENOTYPE_KIND,
     ExperimentConfig,
     check_timing_grid,
     check_workers,
@@ -55,6 +56,7 @@ from .moments import (
     pair_covariance,
     second_order_pair_expectation,
 )
+from .numerics import RandomSource
 from .simulate import (
     GENOTYPE_KINDS,
     LiabilityParams,
@@ -131,11 +133,16 @@ def _method_list(text: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
-def _study_flags(p: argparse.ArgumentParser, seed: int, genotype_kind: str) -> None:
-    """The study flags of simulate, experiment and consistency."""
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--K", type=float, default=0.1)
-    p.add_argument("--P", type=float, default=0.5)
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _study_flags(p: argparse.ArgumentParser, seed: int = _DEFAULTS["seed"],
+                 genotype_kind: str = _DEFAULTS["genotype_kind"]) -> None:
+    """The study flags of simulate, experiment and consistency, which default
+    to ``ExperimentConfig``'s values."""
+    p.add_argument("--eta", type=float, default=_DEFAULTS["eta_star"])
+    p.add_argument("--K", type=float, default=_DEFAULTS["population_prevalence"])
+    p.add_argument("--P", type=float, default=_DEFAULTS["study_prevalence"])
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--genotype-kind", choices=GENOTYPE_KINDS, default=genotype_kind)
 
@@ -151,9 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="simulate one case-control study")
     sim.set_defaults(run=_cmd_simulate, parser=sim)
-    _study_flags(sim, seed=0, genotype_kind="binomial-2-p")
-    sim.add_argument("--n-loci", type=int, default=10_000)
-    sim.add_argument("--target-cases", type=int, default=100)
+    _study_flags(sim, seed=0)
+    sim.add_argument("--n-loci", type=int, default=_DEFAULTS["n_loci"])
+    sim.add_argument("--target-cases", type=int, default=_DEFAULTS["target_cases"])
     sim.add_argument("--out", required=True)
 
     grm_p = sub.add_parser("grm", help="relationship matrix from a dataset")
@@ -184,11 +191,11 @@ def _build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="replication study")
     exp.set_defaults(run=_cmd_experiment, parser=exp)
     exp.add_argument("--config", help="key=value file; explicit flags win")
-    _study_flags(exp, seed=20_260_101, genotype_kind="binomial-2-p")
-    exp.add_argument("--n-loci", type=int, default=10_000)
-    exp.add_argument("--target-cases", type=int, default=100)
-    exp.add_argument("--replications", type=int, default=200)
-    exp.add_argument("--methods", type=_method_list, default=METHODS,
+    _study_flags(exp)
+    exp.add_argument("--n-loci", type=int, default=_DEFAULTS["n_loci"])
+    exp.add_argument("--target-cases", type=int, default=_DEFAULTS["target_cases"])
+    exp.add_argument("--replications", type=int, default=_DEFAULTS["replications"])
+    exp.add_argument("--methods", type=_method_list, default=_DEFAULTS["methods"],
                      help=f"comma-separated subset of {','.join(METHODS)}")
     exp.add_argument("--threads", type=int, default=threads)
     exp.add_argument("--out-dir", required=True)
@@ -203,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cons = sub.add_parser("consistency", help="estimator error along n/N growth path")
     cons.set_defaults(run=_cmd_consistency, parser=cons)
-    _study_flags(cons, seed=1, genotype_kind="standard-normal")
+    _study_flags(cons, seed=1, genotype_kind=CONSISTENCY_GENOTYPE_KIND)
     cons.add_argument("--ratio-a", type=float, default=0.02)
     cons.add_argument("--N-values", type=int, nargs="+", default=[2000, 4000, 8000])
     cons.add_argument("--replications", type=int, default=100)
@@ -315,6 +322,7 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _usage(parser, check_timing_grid, args.n_values, args.N_values, args.methods)
+    _usage(parser, RandomSource, args.seed)
     _print_config("bench", vars(args))
     rows = run_timing(args.n_values, args.N_values, args.methods, seed=args.seed)
     meta = {"seed": args.seed, "methods": ",".join(args.methods)}

@@ -34,9 +34,7 @@ from .estimators import METHODS, estimate
 from .grm import event_en_check, grm_compute, mean_square_offdiagonal
 from .numerics import RandomSource
 from .simulate import (
-    GENOTYPE_KINDS,
     AscertainedSample,
-    LiabilityParams,
     StudyData,
     _centered_w,
     design_from_prevalences,
@@ -44,9 +42,11 @@ from .simulate import (
     sample_genotype_matrix,
     simulate_case_control_study,
     standardize,
+    study_model,
 )
 
 __all__ = [
+    "CONSISTENCY_GENOTYPE_KIND",
     "ExperimentConfig",
     "ReplicationRecord",
     "MethodSummary",
@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 _EN_GAMMA = 0.05
+# The consistency study's default genotypes; run_consistency_study says why.
+CONSISTENCY_GENOTYPE_KIND = "standard-normal"
 # Thread-count variables of the BLAS builds numpy links against; read once,
 # when a process loads its BLAS.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -168,15 +170,12 @@ class ExperimentConfig:
     genotype_kind: str = "binomial-2-p"
 
     def __post_init__(self) -> None:
-        for name in ("replications", "n_loci", "target_cases"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        # the study's own checks, made before any replication runs
-        design_from_prevalences(self.population_prevalence, self.study_prevalence)
-        LiabilityParams(self.eta_star)
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
         check_methods(self.methods)
-        if self.genotype_kind not in GENOTYPE_KINDS:
-            raise ValueError(f"unknown genotype kind {self.genotype_kind!r}")
+        # the study's own checks, made before any replication runs
+        study_model(self.eta_star, self.population_prevalence, self.study_prevalence,
+                    self.n_loci, self.target_cases, self.seed, self.genotype_kind)
 
     def as_dict(self) -> dict:
         return asdict(self) | {"methods": ",".join(self.methods)}
@@ -394,7 +393,7 @@ _CONSISTENCY_COLUMNS = [f.name for f in fields(ConsistencyRow) if f.name != "fir
 def consistency_configs(eta_star: float, population_prevalence: float,
                         study_prevalence: float, ratio_a: float,
                         n_loci_values: list[int], reps: int, seed: int,
-                        genotype_kind: str = "standard-normal") -> list[ExperimentConfig]:
+                        genotype_kind: str = CONSISTENCY_GENOTYPE_KIND) -> list[ExperimentConfig]:
     """The replication study of each locus count of
     :func:`run_consistency_study`; raises ValueError for a ``ratio_a`` that
     is not positive or whose product with a locus count is not finite, and
@@ -416,7 +415,7 @@ def consistency_configs(eta_star: float, population_prevalence: float,
 def run_consistency_study(eta_star: float, population_prevalence: float,
                           study_prevalence: float, ratio_a: float,
                           n_loci_values: list[int], reps: int, seed: int,
-                          genotype_kind: str = "standard-normal",
+                          genotype_kind: str = CONSISTENCY_GENOTYPE_KIND,
                           workers: int = 1) -> list[ConsistencyRow]:
     """Error of the closed-form estimator along a proportional-growth path.
 

@@ -13,6 +13,7 @@ the tests' independent route.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -263,6 +264,9 @@ class RandomSource:
     ``r`` of an experiment always draws from ``rng_create(seed, r)`` no matter
     which worker runs it.  Instances are single-owner; share work by spawning,
     never by handing the same instance to two consumers.
+
+    Raises:
+        ValueError: naming the seed if it is not an integer >= 0.
     """
 
     seed: int
@@ -270,6 +274,8 @@ class RandomSource:
     generator: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         self.generator = np.random.Generator(np.random.Philox(ss))
 

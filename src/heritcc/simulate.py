@@ -38,6 +38,7 @@ __all__ = [
     "population_sample",
     "ascertain",
     "attach_study_genotypes",
+    "study_model",
     "simulate_case_control_study",
     "save_dataset",
     "load_dataset",
@@ -63,7 +64,7 @@ def _rows_per_block(n_rows: int, n_cols: int) -> int:
     return max(1, min(n_rows, _BUFFER_BYTES // (8 * n_cols)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenotypeDistribution:
     """Per-locus distribution of the raw genotype-like entries.
 
@@ -176,7 +177,7 @@ def _padded_rows(n_rows: int, n_cols: int) -> np.ndarray:
     return buf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardizedGenotypes:
     """Empirically centered and scaled genotypes.
 
@@ -193,7 +194,7 @@ class StandardizedGenotypes:
     z: np.ndarray
     col_means: np.ndarray
     col_sds: np.ndarray
-    padded: np.ndarray = field(init=False, repr=False, compare=False)
+    padded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, n_loci = self.z.shape
@@ -420,7 +421,7 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     return raw, liabilities, y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AscertainedSample:
     """Study membership and centered phenotypes after case-control selection.
 
@@ -464,7 +465,7 @@ def attach_study_genotypes(sample: AscertainedSample, raw: np.ndarray | PackedGe
     return replace(sample, z_study=standardize(raw[sample.indices]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyData:
     """One simulated case-control study together with its provenance; the
     locus count is read from the study genotypes."""
@@ -481,15 +482,16 @@ class StudyData:
         return self.sample.z_study.n_loci
 
 
-def simulate_case_control_study(heritability: float, population_prevalence: float,
-                                study_prevalence: float, n_loci: int,
-                                target_cases: int, seed: int,
-                                genotype_kind: str = "binomial-2-p") -> StudyData:
-    """Run the full generative protocol for one study.
+def study_model(heritability: float, population_prevalence: float, study_prevalence: float,
+                n_loci: int, target_cases: int, seed: int, genotype_kind: str
+                ) -> tuple[StudyDesign, LiabilityParams, RandomSource, GenotypeDistribution, int]:
+    """Check a study's settings and turn them into its model, drawing only
+    the allele frequencies: ``(design, liability, source, distribution,
+    population_size)``. A population of ceil(target_cases /
+    population_prevalence) carries about ``target_cases`` cases.
 
-    The population size is ceil(target_cases / population_prevalence) so the
-    study carries about ``target_cases`` cases; the realized count varies
-    between samples. Fully determined by ``seed``.
+    Raises:
+        ValueError: naming the first setting the model refuses.
     """
     if target_cases < 1:
         raise ValueError("target_cases must be >= 1")
@@ -499,7 +501,22 @@ def simulate_case_control_study(heritability: float, population_prevalence: floa
     lp = LiabilityParams(heritability)
     rs = RandomSource(seed)
     dist = make_distribution(genotype_kind, n_loci, rs.spawn(_STREAM_FREQS))
-    n_population = math.ceil(target_cases / population_prevalence)
+    return design, lp, rs, dist, math.ceil(target_cases / population_prevalence)
+
+
+def simulate_case_control_study(heritability: float, population_prevalence: float,
+                                study_prevalence: float, n_loci: int,
+                                target_cases: int, seed: int,
+                                genotype_kind: str = "binomial-2-p") -> StudyData:
+    """Run the full generative protocol for one study of the model that
+    :func:`study_model` makes of these settings.
+
+    The realized case count varies between samples around ``target_cases``.
+    Fully determined by ``seed``.
+    """
+    design, lp, rs, dist, n_population = study_model(
+        heritability, population_prevalence, study_prevalence, n_loci, target_cases, seed,
+        genotype_kind)
     raw, _, y = population_sample(dist, n_population, n_loci, lp, design, rs)
     sample = ascertain(y, design, rs.spawn(_STREAM_SELECTION))
     sample = attach_study_genotypes(sample, raw)

@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import heritcc
-from heritcc import cli
+from heritcc import cli, experiments
 from heritcc import simulate as simulate_module
 from heritcc.cli import main
+from heritcc.experiments import ExperimentConfig
 
 
 def _run(capsys, *argv):
@@ -52,6 +53,13 @@ _USAGE_ERRORS = [
     (["consistency", "--ratio-a", "inf", *_FAST], "ratio_a must be > 0, got inf"),
     (["consistency", "--ratio-a", "1e305", "--N-values", "2000", *_FAST],
      "with ratio_a * n_loci finite"),
+    (["simulate", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["experiment", "--seed", "-1", *_FAST], "seed must be a non-negative integer, got -1"),
+    (["bench", "--seed", "-1", "--n-values", "20", "--N-values", "40"],
+     "seed must be a non-negative integer, got -1"),
+    # only the first locus count's seed, seed + n_loci, is negative
+    (["consistency", "--seed", "-3000", "--N-values", "2000", "4000", *_FAST],
+     "seed must be a non-negative integer, got -1000"),
 ]
 
 
@@ -113,6 +121,29 @@ class TestExitCodes:
         )
         assert code == 0
         assert (tmp_path / "study.bin").exists()
+
+
+class TestDefaults:
+    _FIELDS = {"eta": "eta_star", "K": "population_prevalence", "P": "study_prevalence",
+               "n_loci": "n_loci", "target_cases": "target_cases",
+               "genotype_kind": "genotype_kind", "seed": "seed"}
+
+    def _defaults(self, *argv):
+        return vars(cli._build_parser().parse_args(list(argv)))
+
+    def test_study_flags_default_to_the_experiment_config(self):
+        config = ExperimentConfig()
+        experiment = self._defaults("experiment", "--out-dir", "out")
+        simulate = self._defaults("simulate", "--out", "out.bin")
+        for flag, name in (self._FIELDS | {"replications": "replications",
+                                           "methods": "methods"}).items():
+            assert experiment[flag] == getattr(config, name), flag
+        for flag, name in self._FIELDS.items():
+            assert simulate[flag] == (0 if flag == "seed" else getattr(config, name)), flag
+
+    def test_consistency_genotype_kind_is_the_named_default(self):
+        defaults = self._defaults("consistency", "--out", "out.csv")
+        assert defaults["genotype_kind"] == experiments.CONSISTENCY_GENOTYPE_KIND
 
 
 class TestResolvedConfigEcho:

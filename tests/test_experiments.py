@@ -82,6 +82,7 @@ class TestConfig:
         ("eta_star", 1.5, "heritability must lie in"),
         ("n_loci", 0, "n_loci must be >= 1"),
         ("target_cases", 0, "target_cases must be >= 1"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
     ])
     def test_rejects_bad_study_parameters(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -503,6 +503,16 @@ class TestStudyPipeline:
         with pytest.raises(ValueError, match="n_loci must be >= 1"):
             simulate_case_control_study(0.5, 0.1, 0.5, n_loci=0, target_cases=10, seed=1)
 
+    def test_array_holders_compare_by_identity(self):
+        # equal arrays have no single truth value, so these classes compare
+        # as objects: == neither raises nor looks into the arrays
+        a, b = (simulate_case_control_study(0.5, 0.2, 0.5, n_loci=32, target_cases=10, seed=4)
+                for _ in range(2))
+        dists = [make_distribution("binomial-2-p", 8, RandomSource(1)) for _ in range(2)]
+        for x, y in ((a, b), (a.sample, b.sample), (a.sample.z_study, b.sample.z_study), dists):
+            assert (x == y) is False and x == x
+            assert hash(x) == hash(x)
+
     @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
     def test_all_genotype_kinds_run(self, kind):
         study = simulate_case_control_study(
