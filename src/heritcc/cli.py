@@ -43,6 +43,7 @@ from .experiments import (
     write_timing_csv,
 )
 from .grm import (
+    EN_GAMMA,
     SigmaPair,
     check_gamma,
     event_en_check,
@@ -169,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grm_p.add_argument("--out", required=True)
     grm_p.add_argument("--csv", action="store_true", help="write CSV instead of binary")
     grm_p.add_argument("--check-en", action="store_true")
-    grm_p.add_argument("--gamma", type=float, default=0.05)
+    grm_p.add_argument("--gamma", type=float, default=EN_GAMMA)
 
     mom = sub.add_parser("moments", help="pair-moment grid: exact vs approximations")
     mom.set_defaults(run=_cmd_moments, parser=mom)

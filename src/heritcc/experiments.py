@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import METHODS, estimate
-from .grm import event_en_check, grm_compute, mean_square_offdiagonal
+from .grm import EN_GAMMA, event_en_check, grm_compute, mean_square_offdiagonal
 from .numerics import RandomSource
 from .simulate import (
     AscertainedSample,
@@ -68,7 +68,6 @@ __all__ = [
     "summarize_records",
 ]
 
-_EN_GAMMA = 0.05
 # The consistency study's default genotypes; run_consistency_study says why.
 CONSISTENCY_GENOTYPE_KIND = "standard-normal"
 # Thread-count variables of the BLAS builds numpy links against; read once,
@@ -227,7 +226,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
             realized_n=int(sample.y.shape[0]),
             realized_cases=sample.n_cases,
             eta_hat=eta_hat,
-            en_holds=event_en_check(g, _EN_GAMMA).holds,
+            en_holds=event_en_check(g, EN_GAMMA).holds,
             mean_sq_offdiag=mean_square_offdiagonal(g),
         )
     except Exception as exc:  # any failure is recorded, so the other replications survive
@@ -395,9 +394,12 @@ def consistency_configs(eta_star: float, population_prevalence: float,
                         n_loci_values: list[int], reps: int, seed: int,
                         genotype_kind: str = CONSISTENCY_GENOTYPE_KIND) -> list[ExperimentConfig]:
     """The replication study of each locus count of
-    :func:`run_consistency_study`; raises ValueError for a ``ratio_a`` that
-    is not positive or whose product with a locus count is not finite, and
-    for what :class:`ExperimentConfig` rejects."""
+    :func:`run_consistency_study`; raises ValueError for a ``seed`` that
+    :class:`RandomSource` rejects, before a seed per locus count is derived
+    from it, for a ``ratio_a`` that is not positive or whose product with a
+    locus count is not finite, and for what :class:`ExperimentConfig`
+    rejects."""
+    RandomSource(seed)
     if not (ratio_a > 0 and all(math.isfinite(ratio_a * n) for n in n_loci_values)):
         raise ValueError(f"ratio_a must be > 0, got {ratio_a}, with ratio_a * n_loci finite")
     return [
@@ -421,33 +423,36 @@ def run_consistency_study(eta_star: float, population_prevalence: float,
 
     For each locus count the study size targets ratio_a * n_loci; reports the
     estimator RMSE and the off-diagonal mean-square statistic against its
-    n/n_loci reference. Continuous genotypes by default: the smallest studies
-    on the path make constant count-like columns likely. A locus count whose
-    replications all fail gives a row with ``reps`` 0, NaN statistics and
-    the first replication's error in ``first_error``. Bad parameters raise
-    ValueError (see :func:`consistency_configs`) before anything runs.
+    n/n_loci reference, next to the count, mean and sd of the experiment's
+    own :class:`MethodSummary`. Continuous genotypes by default: the smallest
+    studies on the path make constant count-like columns likely. A locus
+    count whose replications all fail gives a row with ``reps`` 0, NaN
+    statistics and the first replication's error in ``first_error``. Bad
+    parameters raise ValueError (see :func:`consistency_configs`) before
+    anything runs.
     """
     rows = []
     for cfg in consistency_configs(eta_star, population_prevalence, study_prevalence,
                                    ratio_a, n_loci_values, reps, seed, genotype_kind):
         n_loci, target_n = cfg.n_loci, round(ratio_a * cfg.n_loci)
+        (method,) = cfg.methods
         # a failed replication is left out of its row, not fatal
-        records = run_experiment(cfg, workers).records
-        ok = [r for r in records if r.error is None]
-        if not ok:
+        result = run_experiment(cfg, workers)
+        summary = result.summaries.get(method)
+        if summary is None:
             rows.append(ConsistencyRow(n_loci, target_n, 0, *[math.nan] * 5,
-                                       first_error=records[0].error))
+                                       first_error=result.records[0].error))
             continue
-        estimates = np.array([r.eta_hat["first"] for r in ok])
+        ok = [r for r in result.records if method in r.eta_hat]
+        errors = np.array([r.eta_hat[method] for r in ok]) - eta_star
         stats = np.array([r.mean_sq_offdiag for r in ok])
         deviations = np.array([abs(r.mean_sq_offdiag - r.realized_n / n_loci) for r in ok])
-        errors = estimates - eta_star
         rows.append(ConsistencyRow(
             n_loci=n_loci,
             target_n=target_n,
-            reps=int(estimates.shape[0]),
-            mean=float(estimates.mean()),
-            sd=float(estimates.std(ddof=1)) if estimates.shape[0] > 1 else 0.0,
+            reps=summary.n_ok,
+            mean=summary.mean,
+            sd=summary.sd,
             rmse=float(np.sqrt(np.mean(errors**2))),
             mean_sq_offdiag=float(stats.mean()),
             ratio_deviation=float(deviations.mean()),

@@ -24,6 +24,7 @@ __all__ = [
     "EnCheckResult",
     "grm_compute",
     "sigma_pair",
+    "EN_GAMMA",
     "check_gamma",
     "event_en_check",
     "mean_square_offdiagonal",
@@ -112,6 +113,11 @@ class EnCheckResult:
     sup_diag_dev: float
     sup_offdiag: float
     eps_n: float
+
+
+# The exponent offset of the E_n diagnostic that replications and
+# ``grm --check-en`` use unless told otherwise.
+EN_GAMMA = 0.05
 
 
 def check_gamma(gamma: float) -> None:

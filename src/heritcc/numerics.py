@@ -260,9 +260,12 @@ def bvn_rect(
 class RandomSource:
     """A deterministic random stream identified by (seed, path).
 
-    The path makes substreams reproducible under parallelism: replication
-    ``r`` of an experiment always draws from ``rng_create(seed, r)`` no matter
-    which worker runs it.  Instances are single-owner; share work by spawning,
+    The path names independent substreams of one seed. Replication ``r`` of
+    an experiment with seed ``s`` always draws from ``RandomSource(t)``, no
+    matter which worker runs it: ``t`` is the scalar that
+    ``SeedSequence(s, spawn_key=(r,))`` generates
+    (``experiments._replication_seed_stream``), and the study spawns its
+    substreams from it.  Instances are single-owner; share work by spawning,
     never by handing the same instance to two consumers.
 
     Raises:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import heritcc
-from heritcc import cli, experiments
+from heritcc import cli, experiments, grm
 from heritcc import simulate as simulate_module
 from heritcc.cli import main
 from heritcc.experiments import ExperimentConfig
@@ -57,9 +57,13 @@ _USAGE_ERRORS = [
     (["experiment", "--seed", "-1", *_FAST], "seed must be a non-negative integer, got -1"),
     (["bench", "--seed", "-1", "--n-values", "20", "--N-values", "40"],
      "seed must be a non-negative integer, got -1"),
-    # only the first locus count's seed, seed + n_loci, is negative
+    # the flag's own value is named, not the first locus count's derived
+    # seed, seed + n_loci = -1000
     (["consistency", "--seed", "-3000", "--N-values", "2000", "4000", *_FAST],
-     "seed must be a non-negative integer, got -1000"),
+     "seed must be a non-negative integer, got -3000"),
+    # every derived seed, seed + n_loci, is >= 0
+    (["consistency", "--seed", "-5", "--N-values", "2000", *_FAST],
+     "seed must be a non-negative integer, got -5"),
 ]
 
 
@@ -144,6 +148,10 @@ class TestDefaults:
     def test_consistency_genotype_kind_is_the_named_default(self):
         defaults = self._defaults("consistency", "--out", "out.csv")
         assert defaults["genotype_kind"] == experiments.CONSISTENCY_GENOTYPE_KIND
+
+    def test_gamma_is_the_named_default(self):
+        defaults = self._defaults("grm", "--in", "study.bin", "--out", "g.bin")
+        assert defaults["gamma"] == grm.EN_GAMMA
 
 
 class TestResolvedConfigEcho:
@@ -319,6 +327,21 @@ class TestExperimentCommand:
         assert err.startswith("usage: heritcc experiment ")
         assert "no equals sign here" in err
         assert not (tmp_path / "out").exists()
+
+    def test_config_file_zero_threads_is_usage_error(self, capsys, tmp_path,
+                                                     tmp_path_factory):
+        # the file lives apart from tmp_path, which must stay empty
+        config = tmp_path_factory.mktemp("config") / "exp.cfg"
+        config.write_text("replications=2\nthreads=0\n")
+        code, out, err = _run(
+            capsys, "experiment", "--config", str(config),
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert err.startswith("usage: heritcc experiment ")
+        assert "worker count must be >= 1, got 0" in err
+        assert out == ""
+        assert not any(tmp_path.iterdir())
 
     def test_config_file_unparsable_value_exits_2(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -447,6 +447,33 @@ class TestConsistencyStudy:
         with pytest.raises(ValueError, match=re.escape(f"ratio_a must be > 0, got {ratio_a}")):
             run_consistency_study(0.5, 0.2, 0.5, ratio_a, [400], 1, 3)
 
+    @pytest.mark.parametrize("seed, n_loci_values", [
+        (-3000, [2000, 4000]),  # the first derived seed, seed + n_loci, is -1000
+        (-5, [2000]),  # every derived seed is >= 0
+    ])
+    def test_rejects_negative_seed_naming_it(self, seed, n_loci_values):
+        with pytest.raises(ValueError, match=f"non-negative integer, got {seed}$"):
+            experiments.consistency_configs(0.5, 0.2, 0.5, 0.05, n_loci_values, 1, seed)
+
+    @pytest.mark.parametrize("reps, seed, genotype_kind, usable", [
+        (4, 17, experiments.CONSISTENCY_GENOTYPE_KIND, 4),
+        (1, 3, experiments.CONSISTENCY_GENOTYPE_KIND, 1),
+        # count genotypes in 20-person studies meet a constant column
+        (4, 1, "binomial-2-p", 0),
+    ], ids=["several-usable", "one-usable", "none-usable"])
+    def test_rows_read_the_experiment_summary(self, reps, seed, genotype_kind, usable):
+        args = (0.5, 0.2, 0.5, 0.05, [400], reps, seed, genotype_kind)
+        (row,) = run_consistency_study(*args)
+        (cfg,) = experiments.consistency_configs(*args)
+        summaries = run_experiment(cfg).summaries
+        assert row.reps == usable
+        if usable:
+            summary = summaries["first"]
+            assert (row.reps, row.mean, row.sd) == (summary.n_ok, summary.mean, summary.sd)
+        else:
+            assert "first" not in summaries
+            assert np.isnan(row.mean) and np.isnan(row.sd)
+
     def test_one_usable_replication_gives_zero_sd_without_warnings(self):
         # as summarize_records does for one value
         with warnings.catch_warnings():
