@@ -23,6 +23,7 @@ a published form of the display) stalls the error decay at quadratic.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .grm import SigmaPair
@@ -49,14 +50,15 @@ def pair_covariance(sp: SigmaPair, eta: float, n_loci: int) -> BivariateCovarian
         ValueError: if ``n_loci < 1`` or the covariance is not positive
             definite.
     """
+    return BivariateCovariance(*_pair_entries(sp, eta, n_loci))
+
+
+def _pair_entries(sp: SigmaPair, eta: float, n_loci: int) -> tuple[float, float, float]:
+    """(v11, v22, v12) of :func:`pair_covariance`, as plain floats."""
     if n_loci < 1:
         raise ValueError(f"n_loci must be >= 1, got {n_loci}")
     root = math.sqrt(n_loci)
-    return BivariateCovariance(
-        v11=1.0 + eta * sp.a_i / root,
-        v22=1.0 + eta * sp.a_j / root,
-        v12=eta * sp.b_ij / root,
-    )
+    return 1.0 + eta * sp.a_i / root, 1.0 + eta * sp.a_j / root, eta * sp.b_ij / root
 
 
 def pair_probabilities(sp: SigmaPair, design: StudyDesign, eta: float,
@@ -71,12 +73,14 @@ def pair_probabilities(sp: SigmaPair, design: StudyDesign, eta: float,
     Raises:
         ValueError: as :func:`pair_covariance`.
     """
-    cov = pair_covariance(sp, eta, n_loci)
+    v11, v22, v12 = _pair_entries(sp, eta, n_loci)
+    if not (v11 > 0.0 and v22 > 0.0 and v12 * v12 < v11 * v22):
+        BivariateCovariance(v11, v22, v12)  # raises, naming the failed check
     t = design.threshold
     p_both_cases, p_both_controls = bvn_orthants(
-        t / math.sqrt(cov.v11), t / math.sqrt(cov.v22), cov.correlation)
-    p_discordant = max(0.0, 1.0 - p_both_cases - p_both_controls)
-    return p_both_cases, p_both_controls, p_discordant
+        t / math.sqrt(v11), t / math.sqrt(v22), v12 / math.sqrt(v11 * v22))
+    p_discordant = 1.0 - p_both_cases - p_both_controls
+    return p_both_cases, p_both_controls, p_discordant if p_discordant > 0.0 else 0.0
 
 
 def ascertained_pair_ratio(p_both_cases: float, p_both_controls: float,
@@ -120,6 +124,7 @@ def first_order_pair_expectation(g_ij: float, design: StudyDesign, eta: float) -
     return eta * pair_moment_slope(design) * g_ij
 
 
+@functools.lru_cache(maxsize=256)
 def moment_weights(design: StudyDesign, n_loci: int) -> tuple[float, float, float, float]:
     """Weights (alpha, beta, gamma, delta) of the quadratic pair-moment model.
 
@@ -132,7 +137,8 @@ def moment_weights(design: StudyDesign, n_loci: int) -> tuple[float, float, floa
     part of gamma both carry the squared threshold density. With both
     factors the model's error against the exact oracle decays at the
     three-halves power of the locus count; without either, the order-check
-    tests find it decays at first power.
+    tests find it decays at first power. Cached per (design, n_loci): the
+    second-order approximation reads them at every pair.
 
     Raises:
         ValueError: if ``n_loci < 1``.

@@ -6,8 +6,9 @@ standard library's (:class:`statistics.NormalDist`, AS241).  The orthant
 pair of :func:`bvn_orthants` is the numerical ground truth against which the
 Taylor approximations in :mod:`heritcc.moments` are validated, so it is
 pinned to an absolute accuracy far below 1e-10.  Both orthants come from one
-quadrature; :func:`bvn_rect`, four such corners per rectangle, is kept as
-the tests' independent route.
+quadrature over flat Gauss-Legendre node tables built at import, and are
+closed together; :func:`bvn_rect`, four upper corners per rectangle, is the
+tests' independent route.
 """
 
 from __future__ import annotations
@@ -117,6 +118,13 @@ _GL20 = (
 )
 
 
+# Each rule as a flat (w, sgn*x + 1) table, built once: node x at sgn = -1,
+# then at +1, in the order above.
+_NODES6, _NODES12, _NODES20 = (
+    tuple((w, sgn * x + 1.0) for x, w in zip(*rule) for sgn in (-1.0, 1.0))
+    for rule in (_GL6, _GL12, _GL20))
+
+
 def _bvn_quadrature(h: float, k: float, r: float) -> float:
     """The quadrature part of P(X > h, Y > k), correlation ``r``.
 
@@ -125,21 +133,21 @@ def _bvn_quadrature(h: float, k: float, r: float) -> float:
     only in the closing terms of :func:`_bvn_close` (Genz 2004).
     """
     if abs(r) < 0.3:
-        pts, wts = _GL6
+        nodes = _NODES6
     elif abs(r) < 0.75:
-        pts, wts = _GL12
+        nodes = _NODES12
     else:
-        pts, wts = _GL20
+        nodes = _NODES20
     two_pi = 2.0 * math.pi
     hk = h * k
     bvn = 0.0
     if abs(r) < 0.925:
         hs = 0.5 * (h * h + k * k)
         asr = math.asin(r)
-        for x, w in zip(pts, wts):
-            for sgn in (-1.0, 1.0):
-                sn = math.sin(0.5 * asr * (sgn * x + 1.0))
-                bvn += w * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+        half_asr = 0.5 * asr
+        for w, u in nodes:
+            sn = math.sin(half_asr * u)
+            bvn += w * math.exp((sn * hk - hs) / (1.0 - sn * sn))
         return bvn * asr / (2.0 * two_pi)
     # |r| >= 0.925: integrate the complement against the near-singular axis.
     if r < 0.0:
@@ -162,29 +170,35 @@ def _bvn_quadrature(h: float, k: float, r: float) -> float:
             sp = math.sqrt(two_pi) * std_normal_cdf(-b / a)
             bvn -= math.exp(-0.5 * hk) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
         half_a = 0.5 * a
-        for x, w in zip(pts, wts):
-            for sgn in (-1.0, 1.0):
-                xs = (half_a * (sgn * x + 1.0)) ** 2
-                rs = math.sqrt(1.0 - xs)
-                asr1 = -0.5 * (bs / xs + hk)
-                if asr1 > -100.0:
-                    sp = 1.0 + c * xs * (1.0 + d * xs)
-                    ep = math.exp(-0.5 * hk * (1.0 - rs) / (1.0 + rs)) / rs
-                    bvn += half_a * w * math.exp(asr1) * (ep - sp)
+        for w, u in nodes:
+            xs = (half_a * u) ** 2
+            rs = math.sqrt(1.0 - xs)
+            asr1 = -0.5 * (bs / xs + hk)
+            if asr1 > -100.0:
+                sp = 1.0 + c * xs * (1.0 + d * xs)
+                ep = math.exp(-0.5 * hk * (1.0 - rs) / (1.0 + rs)) / rs
+                bvn += half_a * w * math.exp(asr1) * (ep - sp)
     return -bvn / two_pi
 
 
-def _bvn_close(q: float, h: float, k: float, r: float) -> float:
-    """P(X > h, Y > k) from its quadrature part ``q``."""
+def _bvn_close(q: float, h: float, k: float, r: float) -> tuple[float, float]:
+    """``(P(X > h, Y > k), P(X < h, Y < k))`` from their shared quadrature
+    part ``q``, each clipped to [0, 1]. A cdf at x is
+    ``0.5 * erfc(-x / sqrt(2))``, written out."""
     if abs(r) < 0.925:
-        bvn = q + std_normal_cdf(-h) * std_normal_cdf(-k)
+        upper = q + 0.5 * math.erfc(h / _SQRT2) * (0.5 * math.erfc(k / _SQRT2))
+        lower = q + 0.5 * math.erfc(-h / _SQRT2) * (0.5 * math.erfc(-k / _SQRT2))
     elif r > 0.0:
-        bvn = q + std_normal_cdf(-max(h, k))
+        upper = q + 0.5 * math.erfc((k if k > h else h) / _SQRT2)
+        lower = q + 0.5 * math.erfc((-k if -k > -h else -h) / _SQRT2)
     else:
-        bvn = -q
+        upper = lower = -q
         if -k > h:
-            bvn += std_normal_cdf(-k) - std_normal_cdf(h)
-    return min(1.0, max(0.0, bvn))
+            upper += 0.5 * math.erfc(k / _SQRT2) - 0.5 * math.erfc(-h / _SQRT2)
+        if k > -h:
+            lower += 0.5 * math.erfc(-k / _SQRT2) - 0.5 * math.erfc(h / _SQRT2)
+    return (upper if 0.0 < upper < 1.0 else (1.0 if upper >= 1.0 else 0.0),
+            lower if 0.0 < lower < 1.0 else (1.0 if lower >= 1.0 else 0.0))
 
 
 def _bvn_upper(h: float, k: float, r: float) -> float:
@@ -195,7 +209,7 @@ def _bvn_upper(h: float, k: float, r: float) -> float:
     separate expansion near |r| = 1 where that path becomes stiff.  Absolute
     error is a few ulps, comfortably below the 1e-10 contract.
     """
-    return _bvn_close(_bvn_quadrature(h, k, r), h, k, r)
+    return _bvn_close(_bvn_quadrature(h, k, r), h, k, r)[0]
 
 
 def bvn_orthants(h: float, k: float, r: float) -> tuple[float, float]:
@@ -203,20 +217,20 @@ def bvn_orthants(h: float, k: float, r: float) -> tuple[float, float]:
     ``(X, Y)`` with correlation ``r``, from one quadrature.
 
     ``h`` and ``k`` are clipped at +/-8.5, as :func:`bvn_rect` clips its
-    bounds. Each orthant is the bits of ``_bvn_upper`` at (h, k) and at
-    (-h, -k).
+    bounds, so +/-inf are allowed. Each orthant is the bits of
+    ``_bvn_upper`` at (h, k) and at (-h, -k).
+
+    Raises:
+        ValueError: naming the argument if ``h`` or ``k`` is NaN or ``r`` is
+            not in [-1, 1].
     """
-    h, k = _clip_standardized(h), _clip_standardized(k)
-    q = _bvn_quadrature(h, k, r)
-    return _bvn_close(q, h, k, r), _bvn_close(q, -h, -k, r)
-
-
-def _clip_standardized(x: float) -> float:
-    if x < -_TAIL_CLIP:
-        return -_TAIL_CLIP
-    if x > _TAIL_CLIP:
-        return _TAIL_CLIP
-    return x
+    if h != h or k != k:
+        raise ValueError(f"{'h' if h != h else 'k'} must not be NaN, got h={h}, k={k}")
+    if not -1.0 <= r <= 1.0:
+        raise ValueError(f"correlation r must lie in [-1, 1], got r={r}")
+    h = -_TAIL_CLIP if h < -_TAIL_CLIP else (_TAIL_CLIP if h > _TAIL_CLIP else h)
+    k = -_TAIL_CLIP if k < -_TAIL_CLIP else (_TAIL_CLIP if k > _TAIL_CLIP else k)
+    return _bvn_close(_bvn_quadrature(h, k, r), h, k, r)
 
 
 def bvn_rect(
@@ -243,10 +257,8 @@ def bvn_rect(
     sd_i = math.sqrt(cov.v11)
     sd_j = math.sqrt(cov.v22)
     rho = cov.correlation
-    a1 = _clip_standardized(lower_i / sd_i)
-    b1 = _clip_standardized(upper_i / sd_i)
-    a2 = _clip_standardized(lower_j / sd_j)
-    b2 = _clip_standardized(upper_j / sd_j)
+    a1, b1, a2, b2 = (min(_TAIL_CLIP, max(-_TAIL_CLIP, x)) for x in
+                      (lower_i / sd_i, upper_i / sd_i, lower_j / sd_j, upper_j / sd_j))
     p = (
         _bvn_upper(a1, a2, rho)
         - _bvn_upper(a1, b2, rho)

@@ -121,10 +121,71 @@ class TestExactOracle:
             exact_pair_expectation(sp, DESIGN, 0.95, 100)
             assert len(calls) == before + 1
 
+    @pytest.mark.parametrize("sp, eta, n_loci, message", [
+        (_sp(), 0.5, 0, "n_loci must be >= 1, got 0"),
+        (_sp(), 0.5, -3, "n_loci must be >= 1, got -3"),
+        (_sp(-200.0, 0.0, 0.0), 0.5, 1, "variances must be positive, got v11=-99.0, v22=1.0"),
+        (_sp(0.0, -200.0, 0.0), 0.5, 1, "variances must be positive, got v11=1.0, v22=-99.0"),
+        (_sp(0.0, 0.0, 1000.0), 0.5, 1,
+         "covariance matrix is not positive definite: v12^2=250000.0 >= v11*v22=1.0"),
+        (_sp(0.0, 0.0, 3.0), 1.0, 4,
+         "covariance matrix is not positive definite: v12^2=2.25 >= v11*v22=1.0")])
+    def test_plain_float_path_raises_the_covariance_messages(self, sp, eta, n_loci, message):
+        # the checks on plain floats hand failures to pair_covariance's own
+        with pytest.raises(ValueError) as expected:
+            pair_covariance(sp, eta, n_loci)
+        assert str(expected.value) == message
+        for fn in (exact_pair_expectation, pair_probabilities):
+            with pytest.raises(ValueError) as got:
+                fn(sp, DESIGN, eta, n_loci)
+            assert str(got.value) == message
+
     def test_symmetric_in_diagonal_deviations(self):
         a = exact_pair_expectation(_sp(0.8, -0.3, 1.0), DESIGN, eta=0.5, n_loci=200)
         b = exact_pair_expectation(_sp(-0.3, 0.8, 1.0), DESIGN, eta=0.5, n_loci=200)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+# (h, k, r, upper, lower): bvn_orthants' values, as float.hex, before its
+# node tables were flattened and its closing written inline. Every rule, both
+# signs of the |r| >= 0.925 expansion and both sides of its band, the asr0
+# cut-off and the +/-8.5 clip. The -hk >= 100 cut-off cannot be reached:
+# after the clip |hk| <= 72.25.
+_ORTHANT_BITS = [
+    (1.2816, 0.3, 0.12, "0x1.7c349c31e9d76p-5", "0x1.20f01691c703ap-1"),  # GL6
+    (-0.7, 2.1, -0.55, "0x1.041d07b331046p-8", "0x1.d31571f5ea7cfp-3"),  # GL12
+    (2.9, -2.9, 0.9, "0x1.e91c9c6c201e2p-10", "0x1.e91c9c6c201e2p-10"),  # GL20
+    (1.2816, 0.3, 0.97, "0x1.99902ae3f5a7ep-4", "0x1.3c5ed22b271b2p-1"),  # r >= 0.925
+    (-1.5, -0.4, -0.97, "0x1.2d5ee2916eef5p-1", "0x1.a80c50017888dp-55"),  # -k > h
+    (1.5, 0.4, -0.97, "0x1.a80c50017888dp-55", "0x1.2d5ee2916eef5p-1"),  # k > -h
+    (2.9, -2.9, 0.97, "0x1.e91c9c6c201e2p-10", "0x1.e91c9c6c201e2p-10"),  # asr0 cut
+    (INF, -1e300, 0.3, "0x1.5dbbaccf1a4f8p-57", "0x1.5dbbaccf1a4f8p-57"),  # clip
+    (9.0, 40.0, -0.999, "0x0.0p+0", "0x1.0000000000000p+0"),  # clip, r near -1
+]
+# (b_ij, eta, n_loci, value): exact_pair_expectation at a_i = 0.3, a_j = -0.2
+# under DESIGN, as float.hex from the same code; the comment is the correlation
+_EXACT_BITS = [
+    (0.5, 0.5, 100, "0x1.85f2f8e56210ap-6"),  # 0.025, GL6
+    (-9.9, 0.8, 10000, "-0x1.2e07953bf6da6p-4"),  # -0.079, GL6
+    (5.0, 0.95, 100, "0x1.d18e4c9a7617dp-2"),  # 0.473, GL12
+    (9.9, 0.8, 100, "0x1.78d79dd69568dp-1"),  # 0.789, GL20
+    (-9.9, 0.8, 100, "-0x1.8c14c98abd02ap-2"),  # -0.789, GL20
+    (9.9, 0.95, 100, "0x1.c1d566bee6b9bp-1"),  # 0.936, expansion
+    (-9.9, 0.95, 100, "-0x1.8ca0e4f13add5p-2"),  # -0.936, expansion
+]
+
+
+class TestPinnedBits:
+    """The orthant pair and the exact moment keep their bits exactly."""
+
+    @pytest.mark.parametrize("h, k, r, upper, lower", _ORTHANT_BITS)
+    def test_bvn_orthants(self, h, k, r, upper, lower):
+        assert numerics.bvn_orthants(h, k, r) == (float.fromhex(upper), float.fromhex(lower))
+
+    @pytest.mark.parametrize("b_ij, eta, n_loci, value", _EXACT_BITS)
+    def test_exact_pair_expectation(self, b_ij, eta, n_loci, value):
+        got = exact_pair_expectation(_sp(0.3, -0.2, b_ij), DESIGN, eta, n_loci)
+        assert got == float.fromhex(value)
 
 
 class TestAscertainedRatio:

@@ -245,6 +245,19 @@ class TestBvnOrthants:
         assert upper == pytest.approx(std_normal_cdf(-k) - std_normal_cdf(h), abs=1e-16)
         assert lower == 0.0
 
+    @pytest.mark.parametrize("h, k, r, message", [
+        (math.nan, 0.0, 0.5, "h must not be NaN"), (0.0, math.nan, 0.5, "k must not be NaN"),
+        (math.nan, math.nan, 0.5, "h must not be NaN"),
+        (0.0, 0.0, 1.5, r"r must lie in \[-1, 1\], got r=1.5"),
+        (0.0, 0.0, -3.0, r"r must lie in \[-1, 1\], got r=-3.0"),
+        (0.0, 0.0, math.nan, "got r=nan"), (0.0, 0.0, INF, "got r=inf"),
+        (0.0, 0.0, 1.0 + 2**-52, "got r=1.0000000000000002")])
+    def test_refuses_nan_thresholds_and_correlations_outside_the_unit_interval(
+            self, h, k, r, message):
+        # once these read as (0.5, 0.5) or (0.0, 0.0) through min/max
+        with pytest.raises(ValueError, match=message):
+            bvn_orthants(h, k, r)
+
 
 class TestRandomSource:
     def test_same_seed_same_stream(self):
