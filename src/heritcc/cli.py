@@ -259,8 +259,8 @@ def _cmd_grm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    for k, p in itertools.product(args.K, args.P):
-        _usage(parser, design_from_prevalences, k, p)
+    designs = {(k, p): _usage(parser, design_from_prevalences, k, p)
+               for k, p in itertools.product(args.K, args.P)}
     for eta in args.eta:
         _usage(parser, LiabilityParams, eta)
     pairs = [SigmaPair(a_i=a_i, a_j=a_j, b_ij=b_ij)
@@ -271,7 +271,7 @@ def _cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     header = "a_i,a_j,b_ij,eta,K,P,n_loci,exact,first_order,second_order".split(",")
     rows = []
     for sp, eta, k, p, n_loci in itertools.product(pairs, args.eta, args.K, args.P, args.N):
-        design = design_from_prevalences(k, p)
+        design = designs[k, p]
         rows.append((sp.a_i, sp.a_j, sp.b_ij, eta, k, p, n_loci,
                      exact_pair_expectation(sp, design, eta, n_loci),
                      first_order_pair_expectation(sp.b_ij / math.sqrt(n_loci), design, eta),

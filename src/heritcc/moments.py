@@ -10,7 +10,12 @@ Three routes to the same quantity:
 * a second-order approximation that also uses the diagonal deviations of the
   pair's latent covariance.
 
-The quadratic model's weights are written once, in :func:`moment_weights`;
+Every formula's part that depends on the design alone (the slope, the
+selection ratio's coefficients and the weights' factors that do not depend
+on the locus count) is written once, in :func:`_design_constants`. A
+:class:`~heritcc.simulate.StudyDesign` calls it when it is built and carries
+the results, so a moment evaluation re-derives none of them. The quadratic
+model's weights are composed from those factors in :func:`moment_weights`;
 the second-order estimator's sums over pairs read them too.
 
 The second-order weights carry two squared-threshold-density factors: one
@@ -23,7 +28,6 @@ a published form of the display) stalls the error decay at quadratic.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .grm import SigmaPair
@@ -40,6 +44,34 @@ __all__ = [
     "moment_weights",
     "second_order_pair_expectation",
 ]
+
+
+def _design_constants(design: StudyDesign) -> tuple[
+        float, tuple[float, float, float], tuple[float, float, float, float, float, float]]:
+    """(slope, ratio_weights, weight_factors) of a design, from its K, P,
+    threshold t and p_control; ``StudyDesign`` stores them when it is built.
+
+    * slope: pdf(t)^2 P(1-P) / (K^2 (1-K)^2), :func:`pair_moment_slope`;
+    * ratio_weights: (1-P)/P, K^2(1-P)/(P(1-K)^2) and p_control^2, the
+      coefficients of :func:`ascertained_pair_ratio`;
+    * weight_factors: scale = P(1-P)/(K^2 (1-K)^2), pdf(t)^2,
+      scale*pdf(t)^2, t^2/4, t^2/2 - mismatch^2 pdf(t)^2 and
+      t^2 - 1 - mismatch*t*pdf(t), with mismatch = (P-K)/(K(1-K)): the
+      factors of :func:`moment_weights` that do not depend on the locus count.
+    """
+    k, p, t = design.population_prevalence, design.study_prevalence, design.threshold
+    r = design.p_control
+    density = std_normal_pdf(t)
+    dsq = density * density
+    k_var_sq = k * k * (1.0 - k) ** 2
+    scale = p * (1.0 - p) / k_var_sq
+    mismatch = (p - k) / (k * (1.0 - k))
+    return (
+        dsq * p * (1.0 - p) / k_var_sq,
+        ((1.0 - p) / p, k * k * (1.0 - p) / (p * (1.0 - k) ** 2), r * r),
+        (scale, dsq, scale * dsq, t * t / 4.0, t * t / 2.0 - mismatch * mismatch * dsq,
+         t * t - 1.0 - mismatch * t * density),
+    )
 
 
 def pair_covariance(sp: SigmaPair, eta: float, n_loci: int) -> BivariateCovariance:
@@ -90,15 +122,13 @@ def ascertained_pair_ratio(p_both_cases: float, p_both_controls: float,
     Conditional on both individuals being selected, the product takes value
     (1-P)/P on case-case pairs, P/(1-P) on control-control pairs and -1 on
     discordant pairs; selection keeps cases surely and controls with the
-    thinning probability, which weights the three joint probabilities.
+    thinning probability, which weights the three joint probabilities. The
+    coefficients are the design's ``ratio_weights``.
     """
-    k, p, r = design.population_prevalence, design.study_prevalence, design.p_control
-    numerator = (
-        (1.0 - p) / p * p_both_cases
-        - r * p_discordant
-        + k * k * (1.0 - p) / (p * (1.0 - k) ** 2) * p_both_controls
-    )
-    denominator = p_both_cases + r * r * p_both_controls + r * p_discordant
+    case_case, control_control, r_sq = design.ratio_weights
+    r = design.p_control
+    numerator = case_case * p_both_cases - r * p_discordant + control_control * p_both_controls
+    denominator = p_both_cases + r_sq * p_both_controls + r * p_discordant
     return numerator / denominator
 
 
@@ -112,19 +142,17 @@ def exact_pair_expectation(sp: SigmaPair, design: StudyDesign, eta: float,
 def pair_moment_slope(design: StudyDesign) -> float:
     """Slope of the pair moment in heritability times relatedness.
 
-    Closed form: pdf(threshold)^2 * P(1-P) / (K^2 (1-K)^2).
+    Closed form: pdf(threshold)^2 * P(1-P) / (K^2 (1-K)^2), the design's
+    ``slope``.
     """
-    k, p = design.population_prevalence, design.study_prevalence
-    density = std_normal_pdf(design.threshold)
-    return density * density * p * (1.0 - p) / (k * k * (1.0 - k) ** 2)
+    return design.slope
 
 
 def first_order_pair_expectation(g_ij: float, design: StudyDesign, eta: float) -> float:
     """Linear approximation: heritability times slope times relatedness."""
-    return eta * pair_moment_slope(design) * g_ij
+    return eta * design.slope * g_ij
 
 
-@functools.lru_cache(maxsize=256)
 def moment_weights(design: StudyDesign, n_loci: int) -> tuple[float, float, float, float]:
     """Weights (alpha, beta, gamma, delta) of the quadratic pair-moment model.
 
@@ -137,25 +165,25 @@ def moment_weights(design: StudyDesign, n_loci: int) -> tuple[float, float, floa
     part of gamma both carry the squared threshold density. With both
     factors the model's error against the exact oracle decays at the
     three-halves power of the locus count; without either, the order-check
-    tests find it decays at first power. Cached per (design, n_loci): the
-    second-order approximation reads them at every pair.
+    tests find it decays at first power.
+
+    The design carries every factor that does not depend on ``n_loci``
+    (``StudyDesign.weight_factors``, from :func:`_design_constants`), so each
+    call only divides by the locus count and its root and multiplies the
+    factors in, with the bits of the written-out formulas.
 
     Raises:
         ValueError: if ``n_loci < 1``.
     """
     if n_loci < 1:
         raise ValueError("n_loci must be >= 1")
-    k, p = design.population_prevalence, design.study_prevalence
-    t = design.threshold
-    density = std_normal_pdf(t)
-    dsq = density * density
-    scale = p * (1.0 - p) / (k * k * (1.0 - k) ** 2)
-    mismatch = (p - k) / (k * (1.0 - k))
+    scale, dsq, scale_dsq, beta_t, gamma_t, delta_t = design.weight_factors
+    per_locus = scale / n_loci
     return (
-        scale * dsq / math.sqrt(n_loci),
-        (scale / n_loci) * (t * t / 4.0) * dsq,
-        (scale / n_loci) * dsq * (t * t / 2.0 - mismatch * mismatch * dsq),
-        (scale / n_loci) * 0.5 * dsq * (t * t - 1.0 - mismatch * t * density),
+        scale_dsq / math.sqrt(n_loci),
+        per_locus * beta_t * dsq,
+        per_locus * dsq * gamma_t,
+        per_locus * 0.5 * dsq * delta_t,
     )
 
 

@@ -165,10 +165,10 @@ def _bvn_quadrature(h: float, k: float, r: float) -> float:
                 1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0
                 + c * d * a_sq * a_sq / 5.0
             )
-        if -hk < 100.0:
-            b = math.sqrt(bs)
-            sp = math.sqrt(two_pi) * std_normal_cdf(-b / a)
-            bvn -= math.exp(-0.5 * hk) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
+        # every caller clips h and k at +/-8.5 first, so |hk| <= 72.25 here
+        b = math.sqrt(bs)
+        sp = math.sqrt(two_pi) * std_normal_cdf(-b / a)
+        bvn -= math.exp(-0.5 * hk) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
         half_a = 0.5 * a
         for w, u in nodes:
             xs = (half_a * u) ** 2

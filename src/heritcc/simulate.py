@@ -255,6 +255,18 @@ class StudyDesign:
 
     ``p_case`` is 1 (every case joins the study); ``p_control`` is the unique
     value making the expected study prevalence equal to ``study_prevalence``.
+
+    The pair moments' constants of the design are derived once, by
+    :func:`heritcc.moments._design_constants`, when the design is built, and
+    ``dataclasses.replace`` derives them afresh. They take no part in ``==``,
+    ``hash`` or ``repr``:
+
+    * ``slope``: the value of :func:`~heritcc.moments.pair_moment_slope`;
+    * ``ratio_weights``: the three coefficients of
+      :func:`~heritcc.moments.ascertained_pair_ratio`;
+    * ``weight_factors``: the six factors of
+      :func:`~heritcc.moments.moment_weights` that do not depend on the
+      locus count.
     """
 
     population_prevalence: float
@@ -262,17 +274,33 @@ class StudyDesign:
     threshold: float
     p_case: float
     p_control: float
+    slope: float = field(init=False, repr=False, compare=False)
+    ratio_weights: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    weight_factors: tuple[float, float, float, float, float, float] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        from .moments import _design_constants  # moments imports this module
+
+        slope, ratio_weights, weight_factors = _design_constants(self)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "ratio_weights", ratio_weights)
+        object.__setattr__(self, "weight_factors", weight_factors)
 
 
 def design_from_prevalences(population_prevalence: float, study_prevalence: float) -> StudyDesign:
     """Build a study design from the population and study prevalences.
 
     Requires 0 < population_prevalence <= study_prevalence < 1; otherwise the
-    control selection probability would leave (0, 1].
+    control selection probability would leave (0, 1]. K^2 must not underflow
+    to 0 (K above ~1e-162), for the design's pair-moment constants divide by
+    it.
     """
     k, p = population_prevalence, study_prevalence
     if not (0.0 < k < 1.0) or not (0.0 < p < 1.0):
         raise ValueError(f"prevalences must lie in (0, 1), got K={k}, P={p}")
+    if k * k == 0.0:
+        raise ValueError(f"population prevalence {k} is too small: K^2 underflows to 0")
     if k > p:
         raise ValueError(
             f"population prevalence {k} exceeds study prevalence {p}; "

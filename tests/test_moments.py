@@ -188,6 +188,90 @@ class TestPinnedBits:
         assert got == float.fromhex(value)
 
 
+# (K, P, n_loci, pair_moment_slope, ascertained_pair_ratio at _RATIO_PROBS,
+# moment_weights): the values, as float.hex, from before the design carried
+# its constants. The slope and alpha * sqrt(n_loci) are different roundings
+# of the same number: compare the rows at n_loci = 1
+_RATIO_PROBS = (0.03, 0.85, 0.12)
+_DESIGN_BITS = [
+    (1e-06, 1e-06, 1, "0x1.9acea8fbb2605p-16", "0x1.d4bf66669f714p+14",
+     ("0x1.9acea8fbb2606p-16", "0x1.2211a95e77411p-13",
+      "0x1.2211a95e77411p-12", "0x1.153b341699ae1p-12")),
+    (1e-06, 0.5, 37, "0x1.87c6d7cc95a78p+2", "0x1.fffef390babb8p-1",
+     ("0x1.01a17b829f4dfp+0", "0x1.de7f7927b899bp-1",
+      "0x1.b6743a8c99e0cp-1", "0x1.a08622f217a3ap-1")),
+    (1e-06, 0.9, 1000000, "0x1.1a14497494b5fp+1", "0x1.c71bed37c3090p-4",
+     ("0x1.20d961bf0f105p-9", "0x1.a1b323bee8f3dp-17",
+      "-0x1.3b9a8fa02b814p-16", "0x1.f79fce12e79b8p-22")),
+    (0.005, 0.005, 1, "0x1.5848f0eb78fbdp-5", "0x1.76ac61c4d2f99p+2",
+     ("0x1.5848f0eb78fbep-5", "0x1.1d896fb54f471p-4",
+      "0x1.1d896fb54f471p-3", "0x1.e500a32fc04f3p-4")),
+    (0.005, 0.5, 37, "0x1.0e53000f140f1p+1", "0x1.ebd638a7fe2d2p-1",
+     ("0x1.638739aa04ea5p-2", "0x1.83ccb3f297f71p-4",
+      "0x1.23ac745134e3dp-4", "0x1.c2fed9e5b9c81p-5")),
+    (0.005, 0.9, 1000000, "0x1.854452013b9acp-1", "0x1.bd4a52e9f0557p-4",
+     ("0x1.8e9bf9dc65fecp-11", "0x1.52868eb168b60p-20",
+      "-0x1.5ffb5f252df92p-19", "-0x1.b2f4c36c7d197p-22")),
+    (0.1, 0.1, 1, "0x1.5e6e8669045c0p-2", "0x1.f49f49f49f4a0p-3",
+     ("0x1.5e6e8669045c0p-2", "0x1.1fc522b33fb85p-3",
+      "0x1.1fc522b33fb85p-2", "0x1.c2377dfaf6292p-4")),
+    (0.1, 0.5, 37, "0x1.e6b5f391db635p-1", "0x1.02593f69b0259p-1",
+     ("0x1.400f1bafca41ap-3", "0x1.59ab7440a2a47p-7",
+      "0x1.664d1d8859539p-8", "-0x1.2cbdb1348a0c8p-8")),
+    (0.1, 0.9, 1000000, "0x1.5e6e8669045bep-2", "0x1.870922507a720p-4",
+     ("0x1.66d793e045fffp-12", "0x1.2dbfaffe6d0d7p-23",
+      "-0x1.283c4ac8c5d66p-21", "-0x1.f2926a99c19e9p-23")),
+    (0.3, 0.3, 1, "0x1.26bde09f7d7bep-1", "0x1.41d41d41d41d5p-2",
+     ("0x1.26bde09f7d7bfp-1", "0x1.443606ec9afdep-5",
+      "0x1.443606ec9afddp-4", "-0x1.ab60bdc8ad78fp-3")),
+    (0.3, 0.5, 37, "0x1.5ee20b6889321p-1", "0x1.224f2cddb0d31p-1",
+     ("0x1.cd7a7c6fb54b5p-4", "0x1.4dcedaa6833ebp-10",
+      "0x1.0e6b9522cd1b9p-11", "-0x1.10b5eb9c222d4p-7")),
+    (0.3, 0.9, 1000000, "0x1.f94581116966ap-3", "0x1.9721ed7e75349p-2",
+     ("0x1.02b2f235f8868p-12", "0x1.2364eb58b9a57p-26",
+      "-0x1.c2011fbed3e47p-23", "-0x1.4a0faa11f800fp-23")),
+    (0.49, 0.49, 1, "0x1.45dff91c04e6ep-1", "0x1.74ae26501bdd2p-1",
+     ("0x1.45dff91c04e6ep-1", "0x1.a36c274d8e400p-14",
+      "0x1.a36c274d8e3ffp-13", "-0x1.45ab8b971b352p-2")),
+    (0.49, 0.5, 37, "0x1.46015b2488702p-1", "0x1.810b27ccc1bedp-1",
+     ("0x1.acc2704243be2p-4", "0x1.6ae390189e94ep-19",
+      "0x1.13036dc629c08p-20", "-0x1.19e2d9df56991p-7")),
+    (0.49, 0.9, 1000000, "0x1.d57297b9ba3b0p-3", "0x1.7aec8fdb7c1acp+0",
+     ("0x1.e0b6e0ffb88e4p-13", "0x1.3cc7b327b95c8p-35",
+      "-0x1.a531459811c19p-24", "-0x1.f4044173750d8p-24")),
+]
+
+
+class TestDesignConstantBits:
+    """The constants a design carries give the bits of the written-out
+    formulas they replace."""
+
+    @pytest.mark.parametrize("k, p, n_loci, slope, ratio, weights", _DESIGN_BITS)
+    def test_slope_ratio_and_weights(self, k, p, n_loci, slope, ratio, weights):
+        design = design_from_prevalences(k, p)
+        assert pair_moment_slope(design) == float.fromhex(slope)
+        assert ascertained_pair_ratio(*_RATIO_PROBS, design) == float.fromhex(ratio)
+        for n in (n_loci, np.int64(n_loci), float(n_loci)):
+            assert moment_weights(design, n) == tuple(float.fromhex(w) for w in weights)
+
+    def test_moments_read_the_design_constants(self):
+        # first-order moment from the stored slope, second-order from the
+        # weights, both as the formulas write them
+        sp, eta, n_loci = _sp(0.8, -0.3, 1.7), 0.6, 400
+        g = sp.b_ij / math.sqrt(n_loci)
+        assert first_order_pair_expectation(g, DESIGN, eta) == eta * DESIGN.slope * g
+        alpha, beta, gamma, delta = moment_weights(DESIGN, n_loci)
+        b = sp.b_ij
+        assert second_order_pair_expectation(sp, DESIGN, eta, n_loci) == (
+            eta * alpha * b + eta * eta * (beta * sp.a_i * sp.a_j + gamma * b * b
+                                           + delta * b * (sp.a_i + sp.a_j)))
+
+    def test_weights_refuse_no_loci(self):
+        for n_loci in (0, -3, np.int64(0), 0.5):
+            with pytest.raises(ValueError, match="n_loci must be >= 1"):
+                moment_weights(DESIGN, n_loci)
+
+
 class TestAscertainedRatio:
     @given(
         st.floats(min_value=0.01, max_value=1.0),

@@ -21,6 +21,7 @@ from heritcc.simulate import (
     LiabilityParams,
     StandardizedGenotypes,
     StudyData,
+    StudyDesign,
     _layout,
     ascertain,
     attach_study_genotypes,
@@ -208,6 +209,49 @@ class TestDesign:
     def test_rejects_bad_prevalences(self, k, p):
         with pytest.raises(ValueError):
             design_from_prevalences(k, p)
+
+    def test_rejects_a_prevalence_whose_square_underflows(self):
+        with pytest.raises(ValueError, match="too small: K\\^2 underflows to 0"):
+            design_from_prevalences(1e-200, 0.5)
+        assert design_from_prevalences(1e-150, 0.5).slope > 0.0
+
+
+def _derived(design):
+    """The values a design derives from its five fields, by name."""
+    return {f.name: getattr(design, f.name) for f in dataclasses.fields(design) if not f.init}
+
+
+class TestDesignConstants:
+    def test_equality_hash_and_repr_read_the_five_fields(self):
+        a, b = design_from_prevalences(0.1, 0.5), design_from_prevalences(0.1, 0.5)
+        assert a == b and hash(a) == hash(b)
+        fields = (0.1, 0.5, a.threshold, 1.0, a.p_control)
+        assert hash(a) == hash(fields) and a == StudyDesign(*fields)
+        assert repr(a) == ("StudyDesign(population_prevalence=0.1, study_prevalence=0.5, "
+                           "threshold=1.2815515655446008, p_case=1.0, "
+                           "p_control=0.11111111111111112)")
+        assert set(_derived(a)) == {"slope", "ratio_weights", "weight_factors"}
+        assert a != design_from_prevalences(0.1, 0.4)
+
+    def test_replace_derives_the_values_afresh(self):
+        design = design_from_prevalences(0.1, 0.5)
+        for changes in ({"threshold": design.threshold + 1e-8},
+                        {"population_prevalence": 0.2, "p_control": 0.3},
+                        {"study_prevalence": 0.6}):
+            moved = dataclasses.replace(design, **changes)
+            fresh = StudyDesign(*(getattr(moved, f) for f in
+                                  ("population_prevalence", "study_prevalence", "threshold",
+                                   "p_case", "p_control")))
+            assert _derived(moved) == _derived(fresh)
+            assert _derived(moved) != _derived(design)
+        with pytest.raises(ValueError):
+            dataclasses.replace(design, slope=1.0)
+
+    def test_pickle_keeps_the_design_and_its_values(self):
+        design = design_from_prevalences(0.005, 0.3)
+        back = pickle.loads(pickle.dumps(design))
+        assert back == design and hash(back) == hash(design) and repr(back) == repr(design)
+        assert _derived(back) == _derived(design)
 
 
 class TestSimulatePopulation:
