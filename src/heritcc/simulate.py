@@ -55,8 +55,16 @@ _STREAM_FREQS = 3
 
 # The memory of one block of every blocked pass (the population draw, the
 # liability pass and each panel of a relationship-matrix sweep), whatever the
-# population or study size.
-_BUFFER_BYTES = 1 << 22
+# population or study size. 1 MiB, so that a draw block and its bool hit
+# buffer (1.125 MiB together) fit a 2 MiB per-core L2 cache. The sweeps hold
+# a panel, the next one and a power of one: ~3 MiB, against ~12 MiB at
+# 4 MiB, whose 4.2 MB panels at n = 1000 glibc gave back between calls, so
+# that each first-order call in run_timing's (1000, 10k) cell took 1,951
+# page faults (0 at 1 MiB). Measured on a 2-vCPU host: the estimate-large
+# benchmark peaks at 243.2 MB resident against 252.7 MB at 4 MiB, and a
+# 20k x 10k population pass takes 1.34-1.38 s at every budget from 4 MiB
+# down to 512 KiB, but 1.64 s at 256 KiB (best of 3).
+_BUFFER_BYTES = 1 << 20
 
 
 def _rows_per_block(n_rows: int, n_cols: int) -> int:

@@ -346,8 +346,8 @@ class TestPanelSweep:
     @pytest.mark.parametrize("kind", ["standard-normal", "binomial-2-p", "rademacher"])
     @pytest.mark.parametrize("n", [2, 255, 256, 257, 600])
     def test_matches_dense_pieces(self, kind, n):
-        # at the default block budget every n here is one panel; the
-        # panel-height tests below split them
+        # at the default block budget every n here but 600 (218-row panels)
+        # is one panel; the panel-height tests below split them
         sample, g = _study_of_size(n, kind)
         fast = _objective_coefficients(sample, g, REFERENCE)
         dense = _dense_coefficients(sample, g, REFERENCE)
@@ -377,14 +377,22 @@ class TestPanelSweep:
                 tracemalloc.stop()
             assert peak < 0.5 * one_matrix, fn.__name__
 
-    def test_peak_memory_follows_the_block_budget(self):
+    @pytest.mark.parametrize("budget", [None, 1 << 22, 1 << 18])
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_peak_memory_follows_the_block_budget(self, monkeypatch, n, budget):
         # each sweep holds at most three panels of the block budget (the
         # panel, the next one and a power of it) plus O(n) row sums,
-        # whatever n: at n = 3000 a panel is 174 rows
-        n = 3000
+        # whatever n: at the default 1 MiB a panel is 131 rows at n = 1000
+        # and 43 at n = 3000; a 4 MiB budget gave 524-row, 4.2 MB panels at
+        # n = 1000 and peaks of 7.6-12.2 MiB
+        if budget is not None:
+            monkeypatch.setattr(simulate_module, "_BUFFER_BYTES", budget)
         g = grm_compute(standardize(np.random.default_rng(5).normal(size=(n, 20))))
         sample = _sample_from_w(np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
         bound = 3 * simulate_module._BUFFER_BYTES + (1 << 20)
+        if budget is None:
+            # the default budget's sweeps stay within 4 MiB plus the row sums
+            bound = min(bound, (1 << 22) + 16 * 8 * n)
         for fn, args in [(estimate_second_order, (sample, g, REFERENCE, g.n_loci)),
                          (estimate_first_order, (sample, g, REFERENCE)),
                          (event_en_check, (g, 0.05)),
