@@ -186,7 +186,8 @@ def load_grm(path: str | Path) -> GrmView:
     """Read a container written by :func:`save_grm`.
 
     Raises:
-        ValueError: naming the path on a bad magic, and naming the expected
+        ValueError: naming the path on a bad magic or a locus count below 1
+            (which :func:`grm_compute` never makes), and naming the expected
             and available bytes when the header or the matrix is cut short or
             bytes follow the matrix.
     """
@@ -199,6 +200,8 @@ def load_grm(path: str | Path) -> GrmView:
                              f"bytes, got {size}")
         n = int.from_bytes(fh.read(8), "little")
         n_loci = int.from_bytes(fh.read(8), "little")
+        if n_loci < 1:
+            raise ValueError(f"{path}: header n_loci must be an integer >= 1, got {n_loci}")
         expected, available = n * n * 8, size - _GRM_HEADER_BYTES
         if expected != available:
             what = "truncated matrix" if expected > available else "trailing bytes after the matrix"

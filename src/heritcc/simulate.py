@@ -142,26 +142,16 @@ class PackedGenotypes:
         return out
 
 
-def _sample_rows(dist: GenotypeDistribution, n_rows: int, n_loci: int,
-                 gen: np.random.Generator) -> np.ndarray:
-    """Draw ``n_rows`` individuals from one sequential genotype stream.
-
-    Each kind consumes uniforms (or normals) row-major, so concatenated
-    blocks reproduce a single large draw exactly.
-    """
+def _count_compares(dist: GenotypeDistribution) -> list[tuple[np.ufunc, float | np.ndarray]]:
+    """The threshold compares that turn a count kind's uniforms into hits:
+    ``binomial-2-p``'s count is the number of its two hits (count >= 1,
+    count >= 2), ``rademacher``'s value is +1 on its one hit."""
     if dist.kind == "binomial-2-p":
         p = dist.allele_freqs
         q0 = (1.0 - p) ** 2             # P(count = 0)
         q01 = q0 + 2.0 * p * (1.0 - p)  # P(count <= 1)
-        u = gen.random((n_rows, n_loci))
-        return (u >= q0).view(np.int8) + (u >= q01).view(np.int8)
-    if dist.kind == "standard-normal":
-        return gen.standard_normal((n_rows, n_loci)).astype(np.float32)
-    if dist.kind == "rademacher":
-        u = gen.random((n_rows, n_loci))
-        out = (u < 0.5).view(np.int8)
-        return (2 * out - 1).astype(np.int8)
-    raise AssertionError("unreachable")  # pragma: no cover
+        return [(np.greater_equal, q0), (np.greater_equal, q01)]
+    return [(np.less, 0.5)]
 
 
 def _check_loci(dist: GenotypeDistribution, n_loci: int) -> None:
@@ -172,9 +162,18 @@ def _check_loci(dist: GenotypeDistribution, n_loci: int) -> None:
 def sample_genotype_matrix(dist: GenotypeDistribution, n_individuals: int,
                            n_loci: int, rs: RandomSource) -> np.ndarray:
     """Draw a full genotype matrix with i.i.d. entries per column: int8 for
-    the count kinds, float32 for ``standard-normal``."""
+    the count kinds, float32 for ``standard-normal``. The dense route, in one
+    call; :func:`standardize` then refuses a constant column through
+    :func:`_column_sds`, the one refusal the blocked route shares."""
     _check_loci(dist, n_loci)
-    return _sample_rows(dist, n_individuals, n_loci, rs.generator)
+    gen = rs.generator
+    if dist.kind == "standard-normal":
+        return gen.standard_normal((n_individuals, n_loci)).astype(np.float32)
+    u = gen.random((n_individuals, n_loci))
+    hits = [compare(u, threshold).view(np.int8) for compare, threshold in _count_compares(dist)]
+    if dist.kind == "binomial-2-p":
+        return hits[0] + hits[1]
+    return (2 * hits[0] - 1).astype(np.int8)
 
 
 def _padded_rows(n_rows: int, n_cols: int) -> np.ndarray:
@@ -229,6 +228,16 @@ class StandardizedGenotypes:
         return int(self.z.shape[1])
 
 
+def _column_sds(variances: np.ndarray) -> np.ndarray:
+    """Square roots of per-column variances, refusing the first that is not
+    positive: the one zero-variance refusal, for :func:`standardize` and
+    :func:`population_sample`."""
+    zero = np.flatnonzero(variances <= 0.0)
+    if zero.size:
+        raise ValueError(f"column {int(zero[0])} has zero empirical variance")
+    return np.sqrt(variances)
+
+
 def standardize(a: np.ndarray) -> StandardizedGenotypes:
     """Center and scale each column to empirical mean 0 and mean square 1.
 
@@ -239,8 +248,8 @@ def standardize(a: np.ndarray) -> StandardizedGenotypes:
     ``mean(axis=0)`` formulas whatever the input's memory layout.
 
     Raises:
-        ValueError: naming the first offending column if any column has zero
-            empirical variance.
+        ValueError: from :func:`_column_sds`, naming the first column with
+            zero empirical variance.
     """
     values = np.asarray(a)
     n, n_loci = values.shape
@@ -249,10 +258,7 @@ def standardize(a: np.ndarray) -> StandardizedGenotypes:
     z[...] = values
     means = np.add.reduce(z, axis=0) / n
     z -= means
-    sds = np.sqrt(np.einsum("ij,ij->j", z, z) / n)
-    zero = np.flatnonzero(sds == 0.0)
-    if zero.size:
-        raise ValueError(f"column {int(zero[0])} has zero empirical variance")
+    sds = _column_sds(np.einsum("ij,ij->j", z, z) / n)
     z /= sds
     return StandardizedGenotypes(z, means, sds)
 
@@ -356,13 +362,13 @@ def _draw_population(dist: GenotypeDistribution, n_population: int, n_loci: int,
                      ) -> tuple[np.ndarray | PackedGenotypes, np.ndarray, np.ndarray]:
     """Draw the population block by block through one reused float64 buffer.
 
-    Entries match :func:`_sample_rows` exactly: the uniforms or normals come
-    from the same row-major stream. Count kinds pack the hits of the same
-    threshold compares into bit planes, and take the column sums and sums of
-    squares from integer counts of the hits, so these are exact.
-    ``standard-normal`` keeps its float32 rows and reduces the whole matrix
-    once the draw is done: numpy adds the rows of a row-major matrix one
-    after the other, in float64.
+    Entries match :func:`sample_genotype_matrix` exactly: the uniforms or
+    normals come from the same row-major stream. Count kinds pack the hits of
+    the same :func:`_count_compares` into bit planes, and take the column
+    sums and sums of squares from integer counts of the hits, so these are
+    exact. ``standard-normal`` keeps its float32 rows and reduces the whole
+    matrix once the draw is done: numpy adds the rows of a row-major matrix
+    one after the other, in float64.
     """
     block_rows = _rows_per_block(n_population, n_loci)
     buf = np.empty((block_rows, n_loci))
@@ -370,13 +376,7 @@ def _draw_population(dist: GenotypeDistribution, n_population: int, n_loci: int,
     if normal:
         raw = np.empty((n_population, n_loci), dtype=np.float32)
     else:
-        if dist.kind == "binomial-2-p":
-            p = dist.allele_freqs
-            q0 = (1.0 - p) ** 2             # P(count = 0)
-            q01 = q0 + 2.0 * p * (1.0 - p)  # P(count <= 1)
-            compares = [(np.greater_equal, q0), (np.greater_equal, q01)]
-        else:
-            compares = [(np.less, 0.5)]
+        compares = _count_compares(dist)
         raw = PackedGenotypes(
             np.empty((len(compares), n_population, -(-n_loci // 8)), dtype=np.uint8),
             dist.kind, n_loci)
@@ -420,7 +420,9 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     as a float32 matrix; callers take study rows out of either with
     ``raw[indices]``. Those rows are the bits the dense route draws, because
     the genotype stream is consumed in the same row-major order regardless of
-    block size, and the liabilities match it to float rounding.
+    block size, and the liabilities match it to float rounding. A column
+    constant over the population is refused by :func:`_column_sds`, the
+    refusal :func:`standardize` makes of one constant over the study.
 
     Every kind runs its blocks through one reused float64 buffer of about
     ``_BUFFER_BYTES``, so peak memory is the raw population (N * M / 4 bytes
@@ -437,11 +439,7 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     raw, col_sum, col_sumsq = _draw_population(
         dist, n_population, n_loci, rs.spawn(_STREAM_GENOTYPES).generator)
     means = col_sum / n_population
-    variances = col_sumsq / n_population - means * means
-    zero = np.flatnonzero(variances <= 0.0)
-    if zero.size:
-        raise ValueError(f"column {int(zero[0])} has zero empirical variance")
-    sds = np.sqrt(variances)
+    sds = _column_sds(col_sumsq / n_population - means * means)
 
     gen_fx = rs.spawn(_STREAM_EFFECTS).generator
     u = gen_fx.standard_normal(n_loci) * math.sqrt(lp.heritability / n_loci)

@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line (plus context) before asserting, so a
 full run reads as a checklist. The expensive replication studies are shared
-module-scoped fixtures. Expect roughly 25-30 minutes wall time on two cores
+module-scoped fixtures. Expect roughly 5 minutes wall time on two cores
 (the rare-prevalence replication study dominates).
 
 Three checks are known to fail and are left failing deliberately; each

@@ -193,6 +193,18 @@ class TestPipelineRoundTrip:
         # nothing in the report depends on timing
         assert report_paths[0].read_bytes() == report_paths[1].read_bytes()
 
+    def test_estimate_without_out_prints_the_report(self, capsys, tmp_path, dataset):
+        report_path = tmp_path / "report.json"
+        code, _, _ = _run(capsys, "estimate", "--in", str(dataset), "--out", str(report_path))
+        assert code == 0
+        code, out, _ = _run(capsys, "estimate", "--in", str(dataset))
+        assert code == 0
+        # the report file's text, then one eta_hat line per method
+        report = report_path.read_text()
+        etas = "".join(f"{r['method']}: eta_hat={r['eta_hat']:.6f}\n"
+                       for r in json.loads(report)["reports"])
+        assert out.endswith(report + etas)
+
     def test_grm_subcommand_with_check(self, capsys, tmp_path, dataset):
         out_path = tmp_path / "grm.bin"
         code, out, _ = _run(
@@ -425,6 +437,17 @@ class TestOutputFiles:
                     "--methods", "first", "--out", str(bench_out))[0] == 0
         for path in (moments_out, bench_out):
             assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    def test_failed_producer_leaves_neither_temp_file_nor_output(self, tmp_path):
+        out_dir = tmp_path / "out"
+
+        def producer(tmp):
+            tmp.write_text("partial")
+            raise RuntimeError("producer failed after writing")
+
+        with pytest.raises(RuntimeError, match="producer failed after writing"):
+            cli._atomic_produce(out_dir / "table.csv", producer)
+        assert list(out_dir.iterdir()) == []
 
 
 class TestModuleEntryPoint:

@@ -401,6 +401,22 @@ class TestGrmIO:
                                                        "matrix: expected 800 bytes") + ".*got 802$"):
             load_grm(path)
 
+    def test_bad_magic_names_path(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(b"HCCD" + data[4:])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: not a relationship-matrix container")):
+            load_grm(path)
+
+    def test_zero_loci_header_names_path(self, tmp_path):
+        # grm_compute never makes such a matrix; a damaged or foreign file may
+        path = tmp_path / "grm.bin"
+        path.write_bytes(b"HCCG" + (2).to_bytes(8, "little") + (0).to_bytes(8, "little")
+                         + np.eye(2).tobytes())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: header n_loci must be an integer >= 1, got 0")):
+            load_grm(path)
+
 
 class TestLayering:
     def test_grm_loads_only_simulate_and_numerics(self):

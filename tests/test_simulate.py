@@ -265,6 +265,27 @@ class TestSimulatePopulation:
             population_sample(dist, 10, 5, LiabilityParams(0.5),
                               design_from_prevalences(0.1, 0.5), RandomSource(1))
 
+    @pytest.mark.parametrize("kind,freqs,message", [
+        ("binomial", None, "unknown genotype kind 'binomial', expected one of "
+                           "('binomial-2-p', 'standard-normal', 'rademacher')"),
+        ("binomial-2-p", None, "binomial-2-p needs per-locus allele frequencies"),
+        ("binomial-2-p", [[0.3, 0.5]], "allele frequencies must be a 1-d vector "
+                                       "strictly inside (0, 1)"),
+        ("binomial-2-p", [0.3, 1.0], "allele frequencies must be a 1-d vector "
+                                     "strictly inside (0, 1)"),
+    ], ids=["unknown-kind", "no-frequencies", "two-dimensional", "frequency-one"])
+    def test_distribution_refusals_are_named(self, kind, freqs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GenotypeDistribution(kind, freqs)
+
+    def test_constant_population_column_named(self):
+        # a frequency of 1e-12 draws no allele in 50 rows: the population
+        # pass refuses the column with standardize's message
+        dist = GenotypeDistribution("binomial-2-p", [0.3, 1e-12, 0.5])
+        with pytest.raises(ValueError, match="^column 1 has zero empirical variance$"):
+            population_sample(dist, 50, 3, LiabilityParams(0.5),
+                              design_from_prevalences(0.1, 0.5), RandomSource(1))
+
     def test_list_of_frequencies_draws_as_the_equal_array(self):
         freqs = [0.3, 0.5, 0.05, 0.9]
         listed, array = (GenotypeDistribution("binomial-2-p", f) for f in (freqs, np.array(freqs)))
@@ -639,6 +660,18 @@ class TestDatasetContainer:
         save_dataset(tmp_path / "a.hccd", study)
         save_dataset(tmp_path / "b.hccd", dense)
         assert (tmp_path / "a.hccd").read_bytes() == (tmp_path / "b.hccd").read_bytes()
+
+    def test_study_without_genotypes_is_refused_before_writing(self, tmp_path):
+        study = simulate_case_control_study(
+            heritability=0.5, population_prevalence=0.1, study_prevalence=0.5,
+            n_loci=20, target_cases=10, seed=9,
+        )
+        bare = dataclasses.replace(study, sample=dataclasses.replace(study.sample, z_study=None))
+        path = tmp_path / "study.hccd"
+        with pytest.raises(ValueError, match=re.escape(
+                "dataset must carry study genotypes; run the pipeline first")):
+            save_dataset(path, bare)
+        assert not path.exists()
 
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "junk.bin"
