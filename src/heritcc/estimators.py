@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grm import GrmView, _offdiagonal_panels
-from .moments import moment_weights, pair_moment_slope
+from .moments import moment_weights
 from .simulate import AscertainedSample, StudyDesign
 
 __all__ = [
@@ -103,10 +103,9 @@ def estimate_first_order(sample: AscertainedSample, g: GrmView,
     """
     w = _checked_weights(sample, g)
     num, den_sq = _pair_sums(w, g.g)
-    slope = pair_moment_slope(design)
     if den_sq <= 0.0:
         raise ValueError(_DEGENERATE)
-    raw = num / (slope * den_sq)
+    raw = num / (design.slope * den_sq)
     return EstimateReport(
         method="first-order",
         eta_hat=_clamp_unit(raw),

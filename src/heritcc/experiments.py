@@ -148,6 +148,12 @@ def check_methods(methods) -> None:
         raise ValueError(f"methods {list(methods)} repeat one; valid: {METHODS}")
 
 
+def _check_distinct(name: str, values) -> None:
+    """Raise ValueError, as :func:`check_methods` does, if ``values`` repeat one."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} {list(values)} repeat one")
+
+
 def check_workers(workers: int) -> None:
     """Raise ValueError unless ``workers`` counts at least one process."""
     if workers < 1:
@@ -327,13 +333,16 @@ def _run_estimation(raw, sample, design, method: str) -> None:
 def check_timing_grid(n_values: list[int], n_loci_values: list[int],
                       methods: tuple[str, ...]) -> None:
     """Raise ValueError naming a bad value: an empty grid, a study size below
-    2, a locus count below 1, or methods :func:`check_methods` rejects."""
+    2, a locus count below 1, a repeated grid value, or methods
+    :func:`check_methods` rejects."""
     if not n_values or not n_loci_values:
         raise ValueError("timing grids must be nonempty")
     if min(n_values) < 2:
         raise ValueError(f"study sizes must be >= 2, got {min(n_values)}")
     if min(n_loci_values) < 1:
         raise ValueError(f"locus counts must be >= 1, got {min(n_loci_values)}")
+    _check_distinct("study sizes", n_values)
+    _check_distinct("locus counts", n_loci_values)
     check_methods(methods)
 
 
@@ -397,11 +406,12 @@ def consistency_configs(eta_star: float, population_prevalence: float,
     :func:`run_consistency_study`; raises ValueError for a ``seed`` that
     :class:`RandomSource` rejects, before a seed per locus count is derived
     from it, for a ``ratio_a`` that is not positive or whose product with a
-    locus count is not finite, and for what :class:`ExperimentConfig`
-    rejects."""
+    locus count is not finite, for a repeated locus count and for what
+    :class:`ExperimentConfig` rejects."""
     RandomSource(seed)
     if not (ratio_a > 0 and all(math.isfinite(ratio_a * n) for n in n_loci_values)):
         raise ValueError(f"ratio_a must be > 0, got {ratio_a}, with ratio_a * n_loci finite")
+    _check_distinct("locus counts", n_loci_values)
     return [
         ExperimentConfig(
             eta_star=eta_star, population_prevalence=population_prevalence,

@@ -10,20 +10,9 @@ Three routes to the same quantity:
 * a second-order approximation that also uses the diagonal deviations of the
   pair's latent covariance.
 
-Every formula's part that depends on the design alone (the slope, the
-selection ratio's coefficients and the weights' factors that do not depend
-on the locus count) is written once, in :func:`_design_constants`. A
-:class:`~heritcc.simulate.StudyDesign` calls it when it is built and carries
-the results, so a moment evaluation re-derives none of them. The quadratic
-model's weights are composed from those factors in :func:`moment_weights`;
-the second-order estimator's sums over pairs read them too.
-
-The second-order weights carry two squared-threshold-density factors: one
-on the diagonal-deviation product weight and one on the prevalence-mismatch
-part of the squared off-diagonal weight. Re-deriving the expansion shows both
-are required for the remainder to shrink at the three-halves power of the
-locus count; the order-check tests show that dropping either one (closer to
-a published form of the display) stalls the error decay at quadratic.
+The constants of the design alone are read from the
+:class:`~heritcc.simulate.StudyDesign`, which derives them once;
+:func:`moment_weights` composes the quadratic model's weights from them.
 """
 
 from __future__ import annotations
@@ -31,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .grm import SigmaPair
-from .numerics import BivariateCovariance, bvn_orthants, std_normal_pdf
+from .numerics import BivariateCovariance, bvn_orthants
 from .simulate import StudyDesign
 
 __all__ = [
@@ -39,39 +28,10 @@ __all__ = [
     "pair_probabilities",
     "ascertained_pair_ratio",
     "exact_pair_expectation",
-    "pair_moment_slope",
     "first_order_pair_expectation",
     "moment_weights",
     "second_order_pair_expectation",
 ]
-
-
-def _design_constants(design: StudyDesign) -> tuple[
-        float, tuple[float, float, float], tuple[float, float, float, float, float, float]]:
-    """(slope, ratio_weights, weight_factors) of a design, from its K, P,
-    threshold t and p_control; ``StudyDesign`` stores them when it is built.
-
-    * slope: pdf(t)^2 P(1-P) / (K^2 (1-K)^2), :func:`pair_moment_slope`;
-    * ratio_weights: (1-P)/P, K^2(1-P)/(P(1-K)^2) and p_control^2, the
-      coefficients of :func:`ascertained_pair_ratio`;
-    * weight_factors: scale = P(1-P)/(K^2 (1-K)^2), pdf(t)^2,
-      scale*pdf(t)^2, t^2/4, t^2/2 - mismatch^2 pdf(t)^2 and
-      t^2 - 1 - mismatch*t*pdf(t), with mismatch = (P-K)/(K(1-K)): the
-      factors of :func:`moment_weights` that do not depend on the locus count.
-    """
-    k, p, t = design.population_prevalence, design.study_prevalence, design.threshold
-    r = design.p_control
-    density = std_normal_pdf(t)
-    dsq = density * density
-    k_var_sq = k * k * (1.0 - k) ** 2
-    scale = p * (1.0 - p) / k_var_sq
-    mismatch = (p - k) / (k * (1.0 - k))
-    return (
-        dsq * p * (1.0 - p) / k_var_sq,
-        ((1.0 - p) / p, k * k * (1.0 - p) / (p * (1.0 - k) ** 2), r * r),
-        (scale, dsq, scale * dsq, t * t / 4.0, t * t / 2.0 - mismatch * mismatch * dsq,
-         t * t - 1.0 - mismatch * t * density),
-    )
 
 
 def pair_covariance(sp: SigmaPair, eta: float, n_loci: int) -> BivariateCovariance:
@@ -139,17 +99,8 @@ def exact_pair_expectation(sp: SigmaPair, design: StudyDesign, eta: float,
     return ascertained_pair_ratio(p11, p00, pneq, design)
 
 
-def pair_moment_slope(design: StudyDesign) -> float:
-    """Slope of the pair moment in heritability times relatedness.
-
-    Closed form: pdf(threshold)^2 * P(1-P) / (K^2 (1-K)^2), the design's
-    ``slope``.
-    """
-    return design.slope
-
-
 def first_order_pair_expectation(g_ij: float, design: StudyDesign, eta: float) -> float:
-    """Linear approximation: heritability times slope times relatedness."""
+    """Linear approximation: heritability times the design's slope times relatedness."""
     return eta * design.slope * g_ij
 
 
@@ -163,14 +114,15 @@ def moment_weights(design: StudyDesign, n_loci: int) -> tuple[float, float, floa
 
     beta, the diagonal-deviation product weight, and the prevalence-mismatch
     part of gamma both carry the squared threshold density. With both
-    factors the model's error against the exact oracle decays at the
-    three-halves power of the locus count; without either, the order-check
-    tests find it decays at first power.
+    factors, as re-deriving the expansion requires, the model's error
+    against the exact oracle decays at the three-halves power of the locus
+    count; without either (closer to a published form of the display), the
+    order-check tests find it decays at first power.
 
     The design carries every factor that does not depend on ``n_loci``
-    (``StudyDesign.weight_factors``, from :func:`_design_constants`), so each
-    call only divides by the locus count and its root and multiplies the
-    factors in, with the bits of the written-out formulas.
+    (``StudyDesign.weight_factors``, derived when it is built), so each call
+    only divides by the locus count and its root and multiplies the factors
+    in, with the bits of the written-out formulas.
 
     Raises:
         ValueError: if ``n_loci < 1``.

@@ -7,8 +7,8 @@ pair of :func:`bvn_orthants` is the numerical ground truth against which the
 Taylor approximations in :mod:`heritcc.moments` are validated, so it is
 pinned to an absolute accuracy far below 1e-10.  Both orthants come from one
 quadrature over flat Gauss-Legendre node tables built at import, and are
-closed together; :func:`bvn_rect`, four upper corners per rectangle, is the
-tests' independent route.
+closed together; :func:`bvn_rect`, the upper orthants of a rectangle's four
+corners, is the tests' independent route.
 """
 
 from __future__ import annotations
@@ -201,24 +201,15 @@ def _bvn_close(q: float, h: float, k: float, r: float) -> tuple[float, float]:
             lower if 0.0 < lower < 1.0 else (1.0 if lower >= 1.0 else 0.0))
 
 
-def _bvn_upper(h: float, k: float, r: float) -> float:
-    """P(X > h, Y > k) for standard bivariate normal with correlation ``r``.
-
-    Quadrature of the correlation-path integrand (the derivative of the joint
-    probability with respect to the correlation is the joint density), with a
-    separate expansion near |r| = 1 where that path becomes stiff.  Absolute
-    error is a few ulps, comfortably below the 1e-10 contract.
-    """
-    return _bvn_close(_bvn_quadrature(h, k, r), h, k, r)[0]
-
-
 def bvn_orthants(h: float, k: float, r: float) -> tuple[float, float]:
     """``(P(X > h, Y > k), P(X < h, Y < k))`` for standard bivariate normal
     ``(X, Y)`` with correlation ``r``, from one quadrature.
 
-    ``h`` and ``k`` are clipped at +/-8.5, as :func:`bvn_rect` clips its
-    bounds, so +/-inf are allowed. Each orthant is the bits of
-    ``_bvn_upper`` at (h, k) and at (-h, -k).
+    The quadrature follows the correlation path (the joint density is the
+    derivative in the correlation), with an expansion near |r| = 1 where
+    that path is stiff; the absolute error is a few ulps. The lower orthant
+    is the bits of the upper one at (-h, -k). ``h`` and ``k`` are clipped
+    at +/-8.5, so +/-inf are allowed.
 
     Raises:
         ValueError: naming the argument if ``h`` or ``k`` is NaN or ``r`` is
@@ -242,8 +233,9 @@ def bvn_rect(
 ) -> float:
     """Probability that a zero-mean bivariate normal lands in a rectangle.
 
-    Bounds may be ``-math.inf`` / ``math.inf``; internally they are clipped at
-    +/-8.5 standard deviations (tail mass < 1e-17).  Absolute error <= 1e-10.
+    Bounds may be ``-math.inf`` / ``math.inf``; :func:`bvn_orthants` clips
+    them at +/-8.5 standard deviations (tail mass < 1e-17).  Absolute error
+    <= 1e-10.
 
     Raises:
         ValueError: if a lower bound is not below its upper bound (the
@@ -257,13 +249,12 @@ def bvn_rect(
     sd_i = math.sqrt(cov.v11)
     sd_j = math.sqrt(cov.v22)
     rho = cov.correlation
-    a1, b1, a2, b2 = (min(_TAIL_CLIP, max(-_TAIL_CLIP, x)) for x in
-                      (lower_i / sd_i, upper_i / sd_i, lower_j / sd_j, upper_j / sd_j))
+    a1, b1, a2, b2 = lower_i / sd_i, upper_i / sd_i, lower_j / sd_j, upper_j / sd_j
     p = (
-        _bvn_upper(a1, a2, rho)
-        - _bvn_upper(a1, b2, rho)
-        - _bvn_upper(b1, a2, rho)
-        + _bvn_upper(b1, b2, rho)
+        bvn_orthants(a1, a2, rho)[0]
+        - bvn_orthants(a1, b2, rho)[0]
+        - bvn_orthants(b1, a2, rho)[0]
+        + bvn_orthants(b1, b2, rho)[0]
     )
     return min(1.0, max(0.0, p))
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import RandomSource, std_normal_quantile
+from .numerics import RandomSource, std_normal_pdf, std_normal_quantile
 
 __all__ = [
     "PackedGenotypes",
@@ -54,8 +54,8 @@ _STREAM_SELECTION = 2
 _STREAM_FREQS = 3
 
 # The memory of one block of every blocked pass (the population draw, the
-# liability pass and each panel of a relationship-matrix sweep), whatever the
-# population or study size. 1 MiB, so that a draw block and its bool hit
+# liability pass, the container's z read and each panel of a relationship-
+# matrix sweep), whatever the population or study size. 1 MiB, so that a draw block and its bool hit
 # buffer (1.125 MiB together) fit a 2 MiB per-core L2 cache. The sweeps hold
 # a panel, the next one and a power of one: ~3 MiB, against ~12 MiB at
 # 4 MiB, whose 4.2 MB panels at n = 1000 glibc gave back between calls, so
@@ -270,17 +270,17 @@ class StudyDesign:
     ``p_case`` is 1 (every case joins the study); ``p_control`` is the unique
     value making the expected study prevalence equal to ``study_prevalence``.
 
-    The pair moments' constants of the design are derived once, by
-    :func:`heritcc.moments._design_constants`, when the design is built, and
-    ``dataclasses.replace`` derives them afresh. They take no part in ``==``,
-    ``hash`` or ``repr``:
+    The pair moments' constants of the design alone are derived when it is
+    built (``dataclasses.replace`` derives them afresh) and take no part in
+    ``==``, ``hash`` or ``repr``. With threshold t and m = (P-K)/(K(1-K)):
 
-    * ``slope``: the value of :func:`~heritcc.moments.pair_moment_slope`;
-    * ``ratio_weights``: the three coefficients of
+    * ``slope`` = pdf(t)^2 P(1-P) / (K^2 (1-K)^2), of the first-order
+      estimator and :func:`~heritcc.moments.first_order_pair_expectation`;
+    * ``ratio_weights`` = ((1-P)/P, K^2(1-P)/(P(1-K)^2), p_control^2), of
       :func:`~heritcc.moments.ascertained_pair_ratio`;
-    * ``weight_factors``: the six factors of
-      :func:`~heritcc.moments.moment_weights` that do not depend on the
-      locus count.
+    * ``weight_factors`` = (s = P(1-P)/(K^2 (1-K)^2), pdf(t)^2, s pdf(t)^2,
+      t^2/4, t^2/2 - m^2 pdf(t)^2, t^2 - 1 - m t pdf(t)), the locus-count-free
+      factors of :func:`~heritcc.moments.moment_weights`.
     """
 
     population_prevalence: float
@@ -294,12 +294,19 @@ class StudyDesign:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        from .moments import _design_constants  # moments imports this module
-
-        slope, ratio_weights, weight_factors = _design_constants(self)
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "ratio_weights", ratio_weights)
-        object.__setattr__(self, "weight_factors", weight_factors)
+        k, p, t = self.population_prevalence, self.study_prevalence, self.threshold
+        r = self.p_control
+        density = std_normal_pdf(t)
+        dsq = density * density
+        k_var_sq = k * k * (1.0 - k) ** 2
+        scale = p * (1.0 - p) / k_var_sq
+        mismatch = (p - k) / (k * (1.0 - k))
+        object.__setattr__(self, "slope", dsq * p * (1.0 - p) / k_var_sq)
+        object.__setattr__(self, "ratio_weights", (
+            (1.0 - p) / p, k * k * (1.0 - p) / (p * (1.0 - k) ** 2), r * r))
+        object.__setattr__(self, "weight_factors", (
+            scale, dsq, scale * dsq, t * t / 4.0, t * t / 2.0 - mismatch * mismatch * dsq,
+            t * t - 1.0 - mismatch * t * density))
 
 
 def design_from_prevalences(population_prevalence: float, study_prevalence: float) -> StudyDesign:
@@ -622,6 +629,20 @@ def save_dataset(path: str | Path, data: StudyData) -> None:
             fh.write(arr.data)  # the array's own buffer: no copy of z
 
 
+def _read_finite_rows(fh, z: np.ndarray, path: str | Path) -> None:
+    """Read ``z`` from ``fh`` a block of rows at a time, refusing the first row
+    with a NaN or an infinity while its block is in cache."""
+    n, n_loci = z.shape
+    step = _rows_per_block(n, max(1, n_loci))
+    for lo in range(0, n, step):
+        block = z[lo:lo + step]
+        fh.readinto(block)
+        finite = np.isfinite(block)
+        if not finite.all():
+            i = lo + int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise ValueError(f"{path}: z row {i} holds a NaN or an infinity")
+
+
 def load_dataset(path: str | Path) -> StudyData:
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -664,10 +685,12 @@ def load_dataset(path: str | Path) -> StudyData:
             if expected > available:
                 raise ValueError(f"{path}: array {name!r} is truncated: "
                                  f"expected {expected} bytes, got {available}")
-            # z is read straight into the rows of the padded buffer
-            arrays[name] = (_padded_rows(*shape)[:shape[0]] if name == "z"
-                            else np.empty(shape, dtype))
-            fh.readinto(arrays[name])
+            if name == "z":
+                arrays[name] = _padded_rows(*shape)[:shape[0]]
+                _read_finite_rows(fh, arrays[name], path)
+            else:
+                arrays[name] = np.empty(shape, dtype)
+                fh.readinto(arrays[name])
         if size > fh.tell():
             raise ValueError(f"{path}: {size - fh.tell()} trailing bytes after the last array")
     z_study = StandardizedGenotypes(arrays["z"], arrays["col_means"], arrays["col_sds"])

@@ -64,6 +64,10 @@ _USAGE_ERRORS = [
     # every derived seed, seed + n_loci, is >= 0
     (["consistency", "--seed", "-5", "--N-values", "2000", *_FAST],
      "seed must be a non-negative integer, got -5"),
+    # a repeated grid value, as a repeated method, would run the same work twice
+    (["bench", "--n-values", "100", "100", "--N-values", "40"],
+     "study sizes [100, 100] repeat one"),
+    (["consistency", "--N-values", "400", "400", *_FAST], "locus counts [400, 400] repeat one"),
 ]
 
 

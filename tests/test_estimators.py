@@ -19,7 +19,7 @@ from heritcc.estimators import (
     _pair_sums,
 )
 from heritcc.grm import GrmView, event_en_check, grm_compute, mean_square_offdiagonal
-from heritcc.moments import moment_weights, pair_moment_slope, second_order_pair_expectation
+from heritcc.moments import moment_weights, second_order_pair_expectation
 from heritcc.grm import sigma_pair
 from heritcc.numerics import rng_create
 from heritcc.simulate import (
@@ -76,7 +76,7 @@ class TestFirstOrder:
         # use a design whose slope constant is exactly 1 by rescaling the
         # expectation: check the raw ratio times the slope instead
         report = estimate_first_order(sample, g, BALANCED)
-        assert report.raw_ratio * pair_moment_slope(BALANCED) == pytest.approx(0.75)
+        assert report.raw_ratio * BALANCED.slope == pytest.approx(0.75)
 
     def test_negative_ratio_clamps_to_zero(self):
         sample = _sample_from_w([1.0, -1.0])
@@ -110,7 +110,7 @@ class TestFirstOrder:
             for j in range(i + 1, n):
                 num += w[i] * w[j] * g.g[i, j]
                 den += g.g[i, j] ** 2
-        unordered_ratio = num / (pair_moment_slope(design) * den)
+        unordered_ratio = num / (design.slope * den)
         assert report.raw_ratio == pytest.approx(unordered_ratio, rel=1e-10)
 
     def test_degenerate_design_raises(self):
@@ -135,7 +135,7 @@ class TestFirstOrder:
         )
         den = sum(g.g[i, j] ** 2 for i in range(n) for j in range(n) if i != j)
         report = estimate_first_order(sample, g, design)
-        expected = num / (pair_moment_slope(design) * den)
+        expected = num / (design.slope * den)
         assert report.raw_ratio == pytest.approx(expected, rel=1e-12)
 
 

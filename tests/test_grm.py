@@ -419,14 +419,28 @@ class TestGrmIO:
 
 
 class TestLayering:
-    def test_grm_loads_only_simulate_and_numerics(self):
-        # the relationship matrix takes its panel height from simulate's
-        # block rule and sits below the moments, estimators and runners
-        code = ("import sys, heritcc.grm; "
-                "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'heritcc'))")
+    @staticmethod
+    def _loaded_after(code):
+        # the heritcc modules a fresh interpreter holds after running code
+        code += "; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'heritcc'))"
         env = dict(os.environ, PYTHONPATH=str(Path(grm_module.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["heritcc", "heritcc.grm", "heritcc.numerics",
-                                       "heritcc.simulate"]
+        return proc.stdout.split()
+
+    def test_grm_loads_only_simulate_and_numerics(self):
+        # the relationship matrix takes its panel height from simulate's
+        # block rule and sits below the moments, estimators and runners
+        assert self._loaded_after("import sys, heritcc.grm") == [
+            "heritcc", "heritcc.grm", "heritcc.numerics", "heritcc.simulate"]
+
+    def test_designs_and_datasets_load_no_layer_above_simulate(self, tmp_path):
+        # a design derives its pair-moment constants itself, so building
+        # one, and saving and loading a study, imports no module above
+        path = tmp_path / "study.hccd"
+        code = ("import sys; from heritcc.simulate import *; "
+                "design_from_prevalences(0.1, 0.5); "
+                f"save_dataset({str(path)!r}, simulate_case_control_study(0.3, 0.2, 0.5, 30, 15, 21)); "
+                f"load_dataset({str(path)!r})")
+        assert self._loaded_after(code) == ["heritcc", "heritcc.numerics", "heritcc.simulate"]

@@ -15,7 +15,6 @@ from heritcc.moments import (
     first_order_pair_expectation,
     moment_weights,
     pair_covariance,
-    pair_moment_slope,
     pair_probabilities,
     second_order_pair_expectation,
 )
@@ -34,14 +33,14 @@ def _sp(a_i=0.0, a_j=0.0, b_ij=0.0):
 class TestSlopeConstant:
     def test_balanced_design_closed_form(self):
         d = design_from_prevalences(0.5, 0.5)
-        assert pair_moment_slope(d) == pytest.approx(2.0 / math.pi, abs=1e-12)
+        assert d.slope == pytest.approx(2.0 / math.pi, abs=1e-12)
 
     def test_reference_design(self):
-        assert pair_moment_slope(DESIGN) == pytest.approx(0.9505, abs=1e-3)
+        assert DESIGN.slope == pytest.approx(0.9505, abs=1e-3)
 
     def test_invariant_under_study_prevalence_complement(self):
-        a = pair_moment_slope(design_from_prevalences(0.1, 0.6))
-        b = pair_moment_slope(design_from_prevalences(0.1, 0.4))
+        a = design_from_prevalences(0.1, 0.6).slope
+        b = design_from_prevalences(0.1, 0.4).slope
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -59,7 +58,7 @@ class TestExactOracle:
     def test_cross_check_against_first_order(self):
         # small relatedness: oracle within 1e-3 of slope * eta * g
         value = exact_pair_expectation(_sp(0.0, 0.0, 2.0), DESIGN, eta=0.5, n_loci=10_000)
-        assert value == pytest.approx(0.5 * pair_moment_slope(DESIGN) * 0.02, abs=1e-3)
+        assert value == pytest.approx(0.5 * DESIGN.slope * 0.02, abs=1e-3)
         assert value == pytest.approx(0.009505, abs=1e-3)
 
     def test_partition_consistency_with_direct_quadrature(self):
@@ -188,7 +187,7 @@ class TestPinnedBits:
         assert got == float.fromhex(value)
 
 
-# (K, P, n_loci, pair_moment_slope, ascertained_pair_ratio at _RATIO_PROBS,
+# (K, P, n_loci, slope, ascertained_pair_ratio at _RATIO_PROBS,
 # moment_weights): the values, as float.hex, from before the design carried
 # its constants. The slope and alpha * sqrt(n_loci) are different roundings
 # of the same number: compare the rows at n_loci = 1
@@ -249,7 +248,7 @@ class TestDesignConstantBits:
     @pytest.mark.parametrize("k, p, n_loci, slope, ratio, weights", _DESIGN_BITS)
     def test_slope_ratio_and_weights(self, k, p, n_loci, slope, ratio, weights):
         design = design_from_prevalences(k, p)
-        assert pair_moment_slope(design) == float.fromhex(slope)
+        assert design.slope == float.fromhex(slope)
         assert ascertained_pair_ratio(*_RATIO_PROBS, design) == float.fromhex(ratio)
         for n in (n_loci, np.int64(n_loci), float(n_loci)):
             assert moment_weights(design, n) == tuple(float.fromhex(w) for w in weights)

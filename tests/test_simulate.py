@@ -890,6 +890,32 @@ class TestDatasetContainer:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset(path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("block_bytes", [1 << 20, 4 * 30 * 8])
+    def test_non_finite_z_names_its_first_row(self, tmp_path, monkeypatch, value,
+                                              block_bytes):
+        # z is read in blocks of rows; at 4 rows a block the two bad rows lie
+        # in different blocks, and the first is named
+        monkeypatch.setattr(simulate_module, "_BUFFER_BYTES", block_bytes)
+        path, data, header_end, _ = self._saved(tmp_path)
+        body = bytearray(data[header_end:])
+        for row, col in ((13, 4), (9, 29)):
+            at = (row * 30 + col) * 8
+            body[at:at + 8] = np.float64(value).tobytes()
+        path.write_bytes(data[:header_end] + bytes(body))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: z row 9 holds a NaN or an infinity")):
+            load_dataset(path)
+
+    def test_study_without_loci_loads(self, tmp_path):
+        # the header allows n_loci 0; z is then read as n empty rows
+        study = simulate_case_control_study(0.3, 0.2, 0.5, 30, 15, seed=21)
+        n = study.sample.y.shape[0]
+        empty = StandardizedGenotypes(np.empty((n, 0)), np.empty(0), np.empty(0))
+        save_dataset(tmp_path / "study.hccd", dataclasses.replace(
+            study, sample=dataclasses.replace(study.sample, z_study=empty)))
+        assert load_dataset(tmp_path / "study.hccd").sample.z_study.z.shape == (n, 0)
+
     @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
     @pytest.mark.parametrize("k, p", [(0.1, 0.5), (0.01, 0.3), (0.3, 0.7)])
     def test_saved_studies_load_with_their_w(self, tmp_path, kind, k, p):
