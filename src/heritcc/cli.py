@@ -28,7 +28,11 @@ from . import __version__
 from .estimators import METHODS, estimate
 from .experiments import (
     CONSISTENCY_GENOTYPE_KIND,
+    ConsistencyRow,
     ExperimentConfig,
+    MethodSummary,
+    ReplicationRecord,
+    TimingRow,
     check_timing_grid,
     check_workers,
     consistency_configs,
@@ -36,11 +40,8 @@ from .experiments import (
     run_experiment,
     run_timing,
     simulate_study,
-    write_consistency_csv,
-    write_records_csv,
-    write_summary_csv,
+    write_csv,
     write_table,
-    write_timing_csv,
 )
 from .grm import (
     EN_GAMMA,
@@ -312,8 +313,10 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
                                                  "out_dir": args.out_dir})
     result = run_experiment(cfg, workers=args.threads)
     out_dir = Path(args.out_dir)
-    _atomic_produce(out_dir / "records.csv", lambda tmp: write_records_csv(tmp, result))
-    _atomic_produce(out_dir / "summary.csv", lambda tmp: write_summary_csv(tmp, result))
+    _atomic_produce(out_dir / "records.csv", lambda tmp: write_csv(
+        tmp, ReplicationRecord, result.records, cfg.as_dict(), cfg.methods))
+    _atomic_produce(out_dir / "summary.csv", lambda tmp: write_csv(
+        tmp, MethodSummary, result.summaries.values(), cfg.as_dict()))
     for method, summary in result.summaries.items():
         print(f"{method}: mean={summary.mean:.4f} sd={summary.sd:.4f} "
               f"bias={summary.bias:+.4f} (n_ok={summary.n_ok})")
@@ -327,7 +330,7 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     _print_config("bench", vars(args))
     rows = run_timing(args.n_values, args.N_values, args.methods, seed=args.seed)
     meta = {"seed": args.seed, "methods": ",".join(args.methods)}
-    _atomic_produce(Path(args.out), lambda tmp: write_timing_csv(tmp, rows, meta))
+    _atomic_produce(Path(args.out), lambda tmp: write_csv(tmp, TimingRow, rows, meta))
     for row in rows:
         print(f"n={row.n} n_loci={row.n_loci} {row.method}: {row.seconds:.3f}s")
     print(f"wrote {args.out}")
@@ -344,7 +347,7 @@ def _cmd_consistency(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     rows = run_consistency_study(**study, workers=args.threads)
     meta = {k: vars(args)[k] for k in ("eta", "K", "P", "ratio_a", "replications", "seed",
                                       "genotype_kind")}
-    _atomic_produce(Path(args.out), lambda tmp: write_consistency_csv(tmp, rows, meta))
+    _atomic_produce(Path(args.out), lambda tmp: write_csv(tmp, ConsistencyRow, rows, meta))
     for row in rows:
         print(f"n_loci={row.n_loci} n~{row.target_n}: rmse={row.rmse:.4f} sd={row.sd:.4f}")
         if row.reps == 0:

@@ -10,8 +10,10 @@ call with the same worker count (each experiment, each locus count of a
 consistency study), so workers import numpy and heritcc once. A call with
 another worker count, or a pool found broken when a call starts, is replaced;
 a pool that breaks while tasks run is dropped; interpreter exit shuts it
-down. CSV outputs carry the full configuration as comment lines and
-round-trip exactly (floats serialized with repr).
+down. CSV outputs carry the full configuration as comment lines, a column per
+written row field, and round-trip exactly (floats serialized with repr). A
+seed fixes their bytes for one BLAS build and kernel: another kernel may move
+an estimate's last digits.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import Field, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,11 +62,8 @@ __all__ = [
     "check_timing_grid",
     "check_workers",
     "write_table",
-    "write_records_csv",
+    "write_csv",
     "read_records_csv",
-    "write_summary_csv",
-    "write_timing_csv",
-    "write_consistency_csv",
     "summarize_records",
 ]
 
@@ -186,6 +185,10 @@ class ExperimentConfig:
         return asdict(self) | {"methods": ",".join(self.methods)}
 
 
+# The metadata of a row field that its CSV leaves out.
+_UNWRITTEN = {"written": False}
+
+
 @dataclass(frozen=True)
 class ReplicationRecord:
     rep_index: int
@@ -194,9 +197,8 @@ class ReplicationRecord:
     eta_hat: dict[str, float]
     en_holds: bool
     error: str | None = None
-    # off-diagonal mean square of the relationship matrix; not written to
-    # records.csv
-    mean_sq_offdiag: float = math.nan
+    # off-diagonal mean square of the relationship matrix
+    mean_sq_offdiag: float = field(default=math.nan, metadata=_UNWRITTEN)
 
 
 def _replication_seed_stream(seed: int, rep_index: int) -> int:
@@ -390,12 +392,8 @@ class ConsistencyRow:
     rmse: float
     mean_sq_offdiag: float
     ratio_deviation: float
-    # the first replication error of a row with no usable replication; not
-    # written to consistency.csv
-    first_error: str | None = None
-
-
-_CONSISTENCY_COLUMNS = [f.name for f in fields(ConsistencyRow) if f.name != "first_error"]
+    # the first replication error of a row with no usable replication
+    first_error: str | None = field(default=None, metadata=_UNWRITTEN)
 
 
 def consistency_configs(eta_star: float, population_prevalence: float,
@@ -475,80 +473,92 @@ def run_consistency_study(eta_star: float, population_prevalence: float,
 # ---------------------------------------------------------------------------
 
 
+# read_records_csv's parser of a cell by its field's type (a dict's, per method)
+_PARSERS = {"int": int, "float": float, "dict[str, float]": float,
+            "bool": lambda text: text == "1", "str | None": lambda text: text or None}
+# A cell may hold no comma or line break.
+_ESCAPES = str.maketrans(",\n\r", ";  ")
+
+
+def _columns(row_type, methods=()) -> list[tuple[str, Field, str | None]]:
+    """``(name, field, method)`` per column of ``row_type``'s table: its written
+    fields in order, a dict by method as one column per method, else None."""
+    columns = []
+    for f in fields(row_type):
+        if f.metadata == _UNWRITTEN:  # by value: the field holds a read-only copy
+            continue
+        if f.type.startswith("dict["):
+            columns.extend((f"{f.name}_{m}", f, m) for m in methods)
+        else:
+            columns.append((f.name, f, None))
+    return columns
+
+
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
         return repr(float(value))
-    return "" if value is None else str(value)
+    return "" if value is None else str(value).translate(_ESCAPES)
 
 
 def write_table(path: str | Path, header, rows, meta: dict | None = None) -> None:
     """Write ``# key=value`` lines for ``meta`` (sorted by key), the header
     and one comma-separated line per row. Floats are written with repr, so
-    they read back exactly; booleans as 1/0; None as an empty cell."""
+    they read back exactly; booleans as 1/0; None as an empty cell; in any
+    other cell a comma is written as ``;`` and a line break as a space."""
     lines = [f"# {key}={value}" for key, value in sorted((meta or {}).items())]
     lines.append(",".join(header))
     lines.extend(",".join(map(_cell, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_records_csv(path: str | Path, result: ExperimentResult) -> None:
-    methods = result.config.methods
-    header = ["rep_index", "realized_n", "realized_cases",
-              *(f"eta_hat_{m}" for m in methods), "en_holds", "error"]
-    rows = ([r.rep_index, r.realized_n, r.realized_cases,
-             *(r.eta_hat.get(m) for m in methods), r.en_holds,
-             r.error.replace(",", ";") if r.error else None]
-            for r in result.records)
-    write_table(path, header, rows, result.config.as_dict())
+def write_csv(path: str | Path, row_type, rows, meta: dict | None = None,
+              methods: tuple[str, ...] = ()) -> None:
+    """Write ``rows`` of the dataclass ``row_type`` as :func:`write_table` does, a
+    column per written field in order, or per entry of ``methods`` for a dict."""
+    columns = _columns(row_type, methods)
+    write_table(path, [column for column, _, _ in columns],
+                ([getattr(row, f.name) if m is None else getattr(row, f.name).get(m)
+                  for _, f, m in columns] for row in rows), meta)
 
 
 def read_records_csv(path: str | Path) -> tuple[dict, list[ReplicationRecord]]:
-    """The config echo and records of a :func:`write_records_csv` file.
+    """The config echo and records of a records file that :func:`write_csv`
+    wrote for the echoed methods.
 
-    Every field but two comes back exactly (floats through repr), so writing
-    what this reads gives the same bytes. A comma in ``error`` was written as
-    ``;``, and ``mean_sq_offdiag`` is not written: it reads as NaN."""
+    Every written field comes back exactly (floats through repr), so writing
+    what this reads gives the same bytes; ``error`` comes back with its
+    commas as ``;`` and its line breaks as spaces, and an unwritten field
+    takes its default. A header other than the echoed methods' or a row
+    that does not parse raises ValueError naming the path and line."""
     config: dict[str, str] = {}
     records = []
-    header: list[str] | None = None
-    for line in Path(path).read_text().splitlines():
+    columns: list | None = None
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
             config[key] = value
             continue
-        if header is None:
-            header = line.split(",")
+        cells = line.split(",")
+        if columns is None:
+            columns = _columns(ReplicationRecord, tuple(config.get("methods", "").split(",")))
+            header = [column for column, _, _ in columns]
+            if cells != header:
+                raise ValueError(f"{path}:{number}: header {line!r} is not the records "
+                                 f"header {','.join(header)!r} for the echoed methods")
             continue
-        parts = line.split(",")
-        row = dict(zip(header, parts))
-        eta_hat = {}
-        for col, value in row.items():
-            if col.startswith("eta_hat_") and value:
-                eta_hat[col.removeprefix("eta_hat_")] = float(value)
-        records.append(ReplicationRecord(
-            rep_index=int(row["rep_index"]),
-            realized_n=int(row["realized_n"]),
-            realized_cases=int(row["realized_cases"]),
-            eta_hat=eta_hat,
-            en_holds=row["en_holds"] == "1",
-            error=row["error"] or None,
-        ))
+        if len(cells) != len(columns):
+            raise ValueError(f"{path}:{number}: {len(cells)} cells, the header has "
+                             f"{len(columns)}")
+        row = {f.name: {} for _, f, method in columns if method}
+        try:
+            for (_, f, method), text in zip(columns, cells):
+                if method is None:
+                    row[f.name] = _PARSERS[f.type](text)
+                elif text:
+                    row[f.name][method] = _PARSERS[f.type](text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
+        records.append(ReplicationRecord(**row))
     return config, records
-
-
-def write_summary_csv(path: str | Path, result: ExperimentResult) -> None:
-    rows = [result.summaries[m] for m in result.config.methods if m in result.summaries]
-    write_table(path, [f.name for f in fields(MethodSummary)], map(astuple, rows),
-                result.config.as_dict())
-
-
-def write_timing_csv(path: str | Path, rows: list[TimingRow], meta: dict | None = None) -> None:
-    write_table(path, [f.name for f in fields(TimingRow)], map(astuple, rows), meta)
-
-
-def write_consistency_csv(path: str | Path, rows: list[ConsistencyRow],
-                          meta: dict | None = None) -> None:
-    write_table(path, _CONSISTENCY_COLUMNS,
-                ([getattr(row, name) for name in _CONSISTENCY_COLUMNS] for row in rows), meta)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, outputs, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heritcc
@@ -462,6 +464,32 @@ class TestModuleEntryPoint:
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0
         assert proc.stdout.strip() == heritcc.__version__
+
+
+def _numpy_blas_is_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas["name"].lower()
+
+
+class TestSimulationBytes:
+    @pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+    def test_sim_bin_does_not_depend_on_the_blas_kernel(self, tmp_path):
+        # the simulation calls no BLAS, so a seed fixes its bytes on any
+        # host; Prescott is a kernel every x86-64 CPU runs
+        digests = []
+        for coretype in (None, "Prescott"):
+            env = dict(os.environ, PYTHONPATH=str(Path(heritcc.__file__).parents[1]))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            out = tmp_path / f"{coretype}.bin"
+            proc = subprocess.run(
+                [sys.executable, "-m", "heritcc", "simulate", "--n-loci", "500",
+                 "--target-cases", "30", "--seed", "4", "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
 
 class TestDefaultThreads:

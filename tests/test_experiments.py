@@ -15,18 +15,18 @@ import pytest
 
 from heritcc import estimators, experiments, simulate
 from heritcc.experiments import (
+    ConsistencyRow,
     ExperimentConfig,
-    ExperimentResult,
+    MethodSummary,
     ReplicationRecord,
+    TimingRow,
     read_records_csv,
     run_consistency_study,
     run_experiment,
     run_replication,
     run_timing,
     summarize_records,
-    write_records_csv,
-    write_summary_csv,
-    write_timing_csv,
+    write_csv,
 )
 from heritcc.grm import grm_compute, mean_square_offdiagonal
 from heritcc.simulate import (
@@ -307,11 +307,21 @@ class TestPool:
         assert len(_live_workers()) == 3
 
 
+def _write_records(path, cfg, records):
+    write_csv(path, ReplicationRecord, records, cfg.as_dict(), cfg.methods)
+
+
+_OK = ReplicationRecord(0, 61, 30, {"first": 0.1 + 0.2, "second": 1 / 3}, True,
+                        mean_sq_offdiag=0.25)
+_FAILED = ReplicationRecord(1, 0, 0, {}, False, error="ValueError: column 3, zero variance")
+_RECORDS_HEADER = "rep_index,realized_n,realized_cases,{},en_holds,error"
+
+
 class TestRecordsCsv:
     def test_roundtrip_exact(self, tmp_path):
         result = run_experiment(SMOKE)
         path = tmp_path / "records.csv"
-        write_records_csv(path, result)
+        _write_records(path, SMOKE, result.records)
         config, records = read_records_csv(path)
         assert config["seed"] == str(SMOKE.seed)
         for original, loaded in zip(result.records, records):
@@ -321,35 +331,91 @@ class TestRecordsCsv:
         recomputed = summarize_records(SMOKE, records)
         assert recomputed == result.summaries
 
-    def test_rewrite_of_read_records_is_byte_identical(self, tmp_path):
-        records = [
-            ReplicationRecord(0, 61, 30, {"first": 0.1 + 0.2, "second": 1 / 3}, True,
-                              mean_sq_offdiag=0.25),
-            ReplicationRecord(1, 0, 0, {}, False, error="ValueError: column 3, zero variance"),
-        ]
+    @pytest.mark.parametrize("methods, records", [
+        (("first",), [_OK, _FAILED]),
+        (("second",), [_OK, _FAILED]),
+        (("second", "first"), [_OK, _FAILED]),
+        (("first", "second"), [_FAILED, dataclasses.replace(_FAILED, rep_index=2)]),
+        (("first", "second"),
+         [_OK, dataclasses.replace(_FAILED, error="RuntimeError: line one, and\r\nline two")]),
+    ], ids=["first", "second", "second-first", "all-failed", "comma-and-newline"])
+    def test_rewrite_of_read_records_is_byte_identical(self, tmp_path, methods, records):
+        cfg = dataclasses.replace(SMOKE, methods=methods)
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_records_csv(first, ExperimentResult(SMOKE, records, {}))
+        _write_records(first, cfg, records)
         config, loaded = read_records_csv(first)
-        write_records_csv(second, ExperimentResult(SMOKE, loaded, {}))
+        _write_records(second, cfg, loaded)
         assert second.read_bytes() == first.read_bytes()
         assert config["seed"] == str(SMOKE.seed)
-        assert loaded[0].eta_hat == records[0].eta_hat
-        assert loaded[1].error == "ValueError: column 3; zero variance"
-        assert np.isnan(loaded[0].mean_sq_offdiag)
+        assert len(first.read_text().splitlines()) == len(config) + 1 + len(records)
+        for original, reread in zip(records, loaded, strict=True):
+            assert reread.eta_hat == {m: original.eta_hat[m]
+                                      for m in methods if m in original.eta_hat}
+            assert reread.error == (original.error and original.error.replace(",", ";")
+                                    .replace("\r", " ").replace("\n", " "))
+            assert np.isnan(reread.mean_sq_offdiag)  # not written
 
     def test_byte_identical_across_runs(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_records_csv(p1, run_experiment(SMOKE))
-        write_records_csv(p2, run_experiment(SMOKE, workers=2))
+        _write_records(p1, SMOKE, run_experiment(SMOKE).records)
+        _write_records(p2, SMOKE, run_experiment(SMOKE, workers=2).records)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_summary_csv_has_config_echo(self, tmp_path):
         result = run_experiment(SMOKE)
         path = tmp_path / "summary.csv"
-        write_summary_csv(path, result)
+        write_csv(path, MethodSummary, result.summaries.values(), SMOKE.as_dict())
         text = path.read_text()
         assert "# eta_star=0.5" in text
         assert "first," in text
+
+    @pytest.mark.parametrize("row_type, methods, header", [
+        (ReplicationRecord, ("first",), _RECORDS_HEADER.format("eta_hat_first")),
+        (ReplicationRecord, ("second",), _RECORDS_HEADER.format("eta_hat_second")),
+        (ReplicationRecord, ("second", "first"),
+         _RECORDS_HEADER.format("eta_hat_second,eta_hat_first")),
+        (MethodSummary, (), "method,n_ok,mean,sd,bias,q25,median,q75"),
+        (TimingRow, (), "n,n_loci,method,seconds"),
+        (ConsistencyRow, (),
+         "n_loci,target_n,reps,mean,sd,rmse,mean_sq_offdiag,ratio_deviation"),
+    ], ids=["records-first", "records-second", "records-second-first", "summary", "timing",
+            "consistency"])
+    def test_header_is_pinned(self, tmp_path, row_type, methods, header):
+        # the columns, their order and their names are the files' format
+        path = tmp_path / "t.csv"
+        write_csv(path, row_type, [], methods=methods)
+        assert path.read_text() == header + "\n"
+
+    def _records_file(self, tmp_path):
+        path = tmp_path / "records.csv"
+        _write_records(path, SMOKE, [_OK, _FAILED])
+        lines = path.read_text().splitlines()
+        return path, lines, len(lines) - 2  # the header's line number
+
+    def test_refuses_a_header_other_than_the_echoed_methods(self, tmp_path):
+        path, lines, at = self._records_file(tmp_path)
+        path.write_text("\n".join(line.replace("methods=first,second", "methods=second,first")
+                                  for line in lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{at}: header ")):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("edit, cells", [(lambda row: row.rpartition(",")[0], 6),
+                                             (lambda row: row + ",", 8)],
+                             ids=["truncated", "extra-cell"])
+    def test_refuses_a_row_with_another_cell_count(self, tmp_path, edit, cells):
+        path, lines, at = self._records_file(tmp_path)
+        lines[at] = edit(lines[at])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:{at + 1}: {cells} cells, the header has 7")):
+            read_records_csv(path)
+
+    def test_refuses_a_cell_that_does_not_parse(self, tmp_path):
+        path, lines, at = self._records_file(tmp_path)
+        lines[at + 1] = "x" + lines[at + 1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{at + 2}: invalid literal")):
+            read_records_csv(path)
 
 
 class TestTiming:
@@ -358,7 +424,7 @@ class TestTiming:
         assert len(rows) == 4
         keyed = {(r.n, r.n_loci, r.method): r.seconds for r in rows}
         assert all(v > 0 for v in keyed.values())
-        write_timing_csv(tmp_path / "t.csv", rows, {"seed": 1})
+        write_csv(tmp_path / "t.csv", TimingRow, rows, {"seed": 1})
         assert (tmp_path / "t.csv").read_text().count("\n") == 6
 
     def test_rejects_empty_grid(self):
