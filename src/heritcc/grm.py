@@ -10,13 +10,12 @@ identity feed the pair-moment approximations.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .simulate import _rows_per_block
+from .simulate import _read_container, _rows_per_block, _write_container
 
 __all__ = [
     "GrmView",
@@ -168,45 +167,22 @@ def grm_to_csv(path: str | Path, g: GrmView) -> None:
 
 _CSV_MAX_N = 1000  # grm_to_csv's cap: its text takes ~20 bytes per entry
 _GRM_MAGIC = b"HCCG"
-_GRM_HEADER_BYTES = 20  # magic, then n and n_loci as 8-byte little-endian
+_GRM_ARRAYS = (("g", "float64", ("n", "n")),)  # the container's one array
 
 
 def save_grm(path: str | Path, g: GrmView) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_GRM_MAGIC)
-        fh.write(int(g.n_individuals).to_bytes(8, "little"))
-        fh.write(int(g.n_loci).to_bytes(8, "little"))
-        for row in np.asarray(g.g, dtype=np.float64):
-            # row by row: the rows of a GRM from grm_compute are contiguous,
-            # the whole matrix is not when n is not a multiple of 8
-            fh.write(np.ascontiguousarray(row).data)
+    _write_container(path, _GRM_MAGIC, {"n": g.n_individuals, "n_loci": int(g.n_loci)},
+                     _GRM_ARRAYS, (g.g,))
 
 
 def load_grm(path: str | Path) -> GrmView:
     """Read a container written by :func:`save_grm`.
 
     Raises:
-        ValueError: naming the path on a bad magic or a locus count below 1
-            (which :func:`grm_compute` never makes), and naming the expected
-            and available bytes when the header or the matrix is cut short or
-            bytes follow the matrix.
+        ValueError: naming the path, for each refusal of README's container
+            section, and for an n below 2, which :func:`grm_compute` never
+            makes.
     """
-    with open(path, "rb") as fh:
-        if fh.read(4) != _GRM_MAGIC:
-            raise ValueError(f"{path}: not a relationship-matrix container")
-        size = os.fstat(fh.fileno()).st_size
-        if size < _GRM_HEADER_BYTES:
-            raise ValueError(f"{path}: truncated header: expected {_GRM_HEADER_BYTES} "
-                             f"bytes, got {size}")
-        n = int.from_bytes(fh.read(8), "little")
-        n_loci = int.from_bytes(fh.read(8), "little")
-        if n_loci < 1:
-            raise ValueError(f"{path}: header n_loci must be an integer >= 1, got {n_loci}")
-        expected, available = n * n * 8, size - _GRM_HEADER_BYTES
-        if expected != available:
-            what = "truncated matrix" if expected > available else "trailing bytes after the matrix"
-            raise ValueError(f"{path}: {what}: expected {expected} bytes for "
-                             f"{n} x {n} float64, got {available}")
-        g = np.empty((n, n))
-        fh.readinto(g)
-    return GrmView(g=g, n_loci=n_loci)
+    header, arrays = _read_container(path, _GRM_MAGIC, "relationship-matrix", (),
+                                     _GRM_ARRAYS, (("n", 2),))
+    return GrmView(g=arrays["g"], n_loci=header["n_loci"])

@@ -54,7 +54,7 @@ _STREAM_SELECTION = 2
 _STREAM_FREQS = 3
 
 # The memory of one block of every blocked pass (the population draw, the
-# liability pass, the container's z read and each panel of a relationship-
+# liability pass, a container's matrix read and each panel of a relationship-
 # matrix sweep), whatever the population or study size. 1 MiB, so that a draw block and its bool hit
 # buffer (1.125 MiB together) fit a 2 MiB per-core L2 cache. The sweeps hold
 # a panel, the next one and a power of one: ~3 MiB, against ~12 MiB at
@@ -566,29 +566,30 @@ def simulate_case_control_study(heritability: float, population_prevalence: floa
 
 
 # ---------------------------------------------------------------------------
-# Dataset container: length-prefixed JSON header followed by raw row-major
-# arrays. Byte layout is fully deterministic for a given dataset.
+# Containers: the magic, an 8-byte little-endian header length, a JSON header
+# and raw row-major arrays. A layout table names each array, its dtype and
+# the header sizes that give its shape. Byte layout is fully deterministic
+# for given arrays and header.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"HCCD"
 _VERSION = 1
-# What load_dataset reads from a container; save_dataset writes all of it.
-_HEADER_KEYS = ("version", "arrays", "n", "n_loci", "seed", "population_prevalence",
-                "study_prevalence", "heritability", "population_size", "genotype_kind",
-                "n_cases", "n_controls")
+_MAGIC = b"HCCD"
+# A dataset's arrays in file order: name, dtype and the sizes of its shape.
+_DATASET_ARRAYS = (("z", "float64", ("n", "n_loci")), ("col_means", "float64", ("n_loci",)),
+                   ("col_sds", "float64", ("n_loci",)), ("w", "float64", ("n",)),
+                   ("y", "uint8", ("n",)), ("indices", "int64", ("n",)))
+# What load_dataset reads from a dataset's header besides the framing's
+# version, arrays, n and n_loci; save_dataset writes all of it.
+_HEADER_KEYS = ("seed", "population_prevalence", "study_prevalence", "heritability",
+                "population_size", "genotype_kind", "n_cases", "n_controls")
 
 
-def _layout(n: int, n_loci: int) -> list[dict]:
-    """The container's arrays in file order, as its header lists them: the
-    name, dtype and shape of each for a study of n rows and n_loci loci."""
-    return [{"name": name, "dtype": dtype, "shape": shape} for name, dtype, shape in (
-        ("z", "float64", [n, n_loci]),
-        ("col_means", "float64", [n_loci]),
-        ("col_sds", "float64", [n_loci]),
-        ("w", "float64", [n]),
-        ("y", "uint8", [n]),
-        ("indices", "int64", [n]),
-    )]
+def _layout(n: int, n_loci: int, table: tuple) -> list[dict]:
+    """The arrays of the layout table ``table`` in file order, as a header
+    lists them: the name, dtype and shape of each for n rows and n_loci loci."""
+    sizes = {"n": n, "n_loci": n_loci}
+    return [{"name": name, "dtype": dtype, "shape": [sizes[d] for d in dims]}
+            for name, dtype, dims in table]
 
 
 def _json(value) -> str:
@@ -596,58 +597,53 @@ def _json(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-def save_dataset(path: str | Path, data: StudyData) -> None:
-    sample = data.sample
-    if sample.z_study is None:
-        raise ValueError("dataset must carry study genotypes; run the pipeline first")
-    z = sample.z_study
-    layout = _layout(z.n_individuals, z.n_loci)
-    arrays = [np.ascontiguousarray(values, dtype=spec["dtype"]) for spec, values in zip(
-        layout, (z.z, z.col_means, z.col_sds, sample.w, sample.y, sample.indices))]
-    header = {
-        "version": _VERSION,
-        "n": z.n_individuals,
-        "n_loci": z.n_loci,
-        "seed": data.seed,
-        "population_prevalence": data.design.population_prevalence,
-        "study_prevalence": data.design.study_prevalence,
-        "heritability": data.liability.heritability,
-        "population_size": data.population_size,
-        "genotype_kind": data.genotype_kind,
-        "n_cases": sample.n_cases,
-        "n_controls": sample.n_controls,
-        # the shapes the arrays have, so that a study whose arrays disagree
-        # is written as it is and refused on load
-        "arrays": [dict(spec, shape=list(arr.shape)) for spec, arr in zip(layout, arrays)],
-    }
+def _write_container(path: str | Path, magic: bytes, header: dict, table: tuple,
+                     values) -> None:
+    """Write ``values`` as the arrays of the layout table ``table``, each
+    entry with the shape its array has, so that arrays which disagree with
+    the header are written as they are and refused on load."""
+    values = [np.asarray(v, dtype=dtype) for (_, dtype, _), v in zip(table, values)]
+    header = dict(header, version=_VERSION, arrays=[
+        {"name": name, "dtype": dtype, "shape": list(v.shape)}
+        for (name, dtype, _), v in zip(table, values)])
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
+        fh.write(magic)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        for arr in arrays:
-            fh.write(arr.data)  # the array's own buffer: no copy of z
+        for v in values:
+            # a strided matrix (a relationship matrix whose n is not a
+            # multiple of 8) row by row, any other array whole: no copy of z
+            # or of a matrix
+            for rows in v if v.ndim == 2 and not v.flags.c_contiguous else (v,):
+                fh.write(np.ascontiguousarray(rows).data)
 
 
-def _read_finite_rows(fh, z: np.ndarray, path: str | Path) -> None:
-    """Read ``z`` from ``fh`` a block of rows at a time, refusing the first row
-    with a NaN or an infinity while its block is in cache."""
-    n, n_loci = z.shape
-    step = _rows_per_block(n, max(1, n_loci))
-    for lo in range(0, n, step):
-        block = z[lo:lo + step]
+def _read_finite_rows(fh, rows: np.ndarray, name: str, path: str | Path) -> None:
+    """Read the matrix ``rows`` from ``fh`` a block of rows at a time, refusing
+    the first row with a NaN or an infinity while its block is in cache."""
+    step = _rows_per_block(*rows.shape)
+    for lo in range(0, rows.shape[0], step):
+        block = rows[lo:lo + step]
         fh.readinto(block)
         finite = np.isfinite(block)
         if not finite.all():
             i = lo + int(np.flatnonzero(~finite.all(axis=1))[0])
-            raise ValueError(f"{path}: z row {i} holds a NaN or an infinity")
+            raise ValueError(f"{path}: {name} row {i} holds a NaN or an infinity")
 
 
-def load_dataset(path: str | Path) -> StudyData:
+def _read_container(path: str | Path, magic: bytes, what: str, keys: tuple[str, ...],
+                    table: tuple, sizes: tuple[tuple[str, int | str], ...]
+                    ) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container of the layout table ``table``: ``(header, {name:
+    array})``. ``sizes`` adds header integers and their lower bounds, each a
+    number or the name of a size checked before it. Refuses, naming the path,
+    what README's container section lists; float64 matrices are read a block
+    of rows at a time into buffers padded to a multiple of 8 rows."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a dataset container (bad magic {magic!r})")
+        found = fh.read(4)
+        if found != magic:
+            raise ValueError(f"{path}: not a {what} container (bad magic {found!r})")
         size = os.fstat(fh.fileno()).st_size
         length = fh.read(8)
         blob_len = int.from_bytes(length, "little")
@@ -659,20 +655,18 @@ def load_dataset(path: str | Path) -> StudyData:
             header = None
         if not isinstance(header, dict):
             raise ValueError(f"{path}: header is not a JSON object")
-        missing = [key for key in _HEADER_KEYS if key not in header]
+        missing = [key for key in ("version", "arrays", "n", "n_loci", *keys)
+                   if key not in header]
         if missing:
             raise ValueError(f"{path}: header lacks {', '.join(map(repr, missing))}")
         if _json(header["version"]) != _json(_VERSION):
             raise ValueError(f"{path}: unsupported container version {_json(header['version'])}")
-        # n is checked before it bounds the population size
-        for key, low in (("n", 0), ("n_loci", 0), ("seed", 0), ("population_size", header["n"])):
+        for key, low in (("n", 0), ("n_loci", 1), *sizes):
+            low = header[low] if isinstance(low, str) else low
             if type(header[key]) is not int or header[key] < low:
                 raise ValueError(f"{path}: header {key} must be an integer >= {low}, "
                                  f"got {_json(header[key])}")
-        if header["genotype_kind"] not in GENOTYPE_KINDS:
-            raise ValueError(f"{path}: header genotype_kind must be one of "
-                             f"{_json(GENOTYPE_KINDS)}, got {_json(header['genotype_kind'])}")
-        layout = _layout(header["n"], header["n_loci"])
+        layout = _layout(header["n"], header["n_loci"], table)
         entries = header["arrays"] if isinstance(header["arrays"], list) else [header["arrays"]]
         for i, (entry, spec) in enumerate(itertools.zip_longest(entries, layout)):
             if _json(entry) != _json(spec):
@@ -685,14 +679,42 @@ def load_dataset(path: str | Path) -> StudyData:
             if expected > available:
                 raise ValueError(f"{path}: array {name!r} is truncated: "
                                  f"expected {expected} bytes, got {available}")
-            if name == "z":
+            if len(shape) == 2 and dtype == np.float64:
                 arrays[name] = _padded_rows(*shape)[:shape[0]]
-                _read_finite_rows(fh, arrays[name], path)
+                _read_finite_rows(fh, arrays[name], name, path)
             else:
                 arrays[name] = np.empty(shape, dtype)
                 fh.readinto(arrays[name])
         if size > fh.tell():
             raise ValueError(f"{path}: {size - fh.tell()} trailing bytes after the last array")
+    return header, arrays
+
+
+def save_dataset(path: str | Path, data: StudyData) -> None:
+    sample = data.sample
+    if sample.z_study is None:
+        raise ValueError("dataset must carry study genotypes; run the pipeline first")
+    z = sample.z_study
+    _write_container(path, _MAGIC, {
+        "n": z.n_individuals,
+        "n_loci": z.n_loci,
+        "seed": data.seed,
+        "population_prevalence": data.design.population_prevalence,
+        "study_prevalence": data.design.study_prevalence,
+        "heritability": data.liability.heritability,
+        "population_size": data.population_size,
+        "genotype_kind": data.genotype_kind,
+        "n_cases": sample.n_cases,
+        "n_controls": sample.n_controls,
+    }, _DATASET_ARRAYS, (z.z, z.col_means, z.col_sds, sample.w, sample.y, sample.indices))
+
+
+def load_dataset(path: str | Path) -> StudyData:
+    header, arrays = _read_container(path, _MAGIC, "dataset", _HEADER_KEYS, _DATASET_ARRAYS,
+                                     (("seed", 0), ("population_size", "n")))
+    if header["genotype_kind"] not in GENOTYPE_KINDS:
+        raise ValueError(f"{path}: header genotype_kind must be one of "
+                         f"{_json(GENOTYPE_KINDS)}, got {_json(header['genotype_kind'])}")
     z_study = StandardizedGenotypes(arrays["z"], arrays["col_means"], arrays["col_sds"])
     sample = AscertainedSample(indices=arrays["indices"], y=arrays["y"].astype(bool),
                                w=arrays["w"], z_study=z_study)

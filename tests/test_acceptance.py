@@ -86,6 +86,7 @@ def rare_prevalence_run():
 
 
 class TestCriterion1Unbiasedness:
+    @pytest.mark.by_hand
     def test_both_estimators_centered(self, fig_style_run):
         summaries = fig_style_run.summaries
         mean_first = summaries["first"].mean
@@ -102,6 +103,7 @@ class TestCriterion1Unbiasedness:
 
 
 class TestCriterion2PrevalenceEffect:
+    @pytest.mark.by_hand
     def test_higher_prevalence_less_spread(self, fig_style_run, rare_prevalence_run):
         """Claimed direction: spread at prevalence 0.1 below spread at 0.005.
 
@@ -142,6 +144,7 @@ def _ls_exponent(errs):
 
 
 class TestCriterion3TaylorOrders:
+    @pytest.mark.by_hand
     def test_first_order_exponent_window(self):
         """Expected decay exponent in [1.7, 2.3] at scales {0.4, 0.2, 0.1}.
 
@@ -246,6 +249,7 @@ class TestCriterion5MomentSuite:
 
 
 class TestCriterion6OffdiagonalMeanSquare:
+    @pytest.mark.by_hand
     def test_band_around_ratio(self):
         """Claimed: statistic within 15% of n/N in >= 90% of 50 seeds.
 
@@ -277,6 +281,7 @@ class TestCriterion6OffdiagonalMeanSquare:
 
 
 class TestCriterion7ConsistencyTrend:
+    @pytest.mark.by_hand
     def test_rmse_falls_along_growth_path(self):
         rows = run_consistency_study(
             eta_star=0.5, population_prevalence=0.1, study_prevalence=0.5,
@@ -294,6 +299,7 @@ class TestCriterion7ConsistencyTrend:
 
 
 class TestCriterion8Timing:
+    @pytest.mark.by_hand
     def test_grid_ordering_and_monotonicity(self):
         # median-of-7 instead of the default 3: the (100, 1000) cell runs in
         # a few milliseconds and the ordering margin at (1000, 10000) is only

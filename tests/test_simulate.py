@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from heritcc import grm as grm_module
 from heritcc import simulate as simulate_module
+from heritcc.grm import grm_compute, load_grm, save_grm
 from heritcc.numerics import RandomSource, rng_create
 from heritcc.simulate import (
     AscertainedSample,
@@ -22,6 +24,7 @@ from heritcc.simulate import (
     StandardizedGenotypes,
     StudyData,
     StudyDesign,
+    _DATASET_ARRAYS,
     _layout,
     ascertain,
     attach_study_genotypes,
@@ -116,22 +119,27 @@ class TestRowOrderReductions:
             assert not np.array_equal(np.add.reduce(column_major, axis=1, **wide), acc)
 
 
-class TestStandardizeRowBlocks:
+class TestStandardizeBitsAndBuffer:
     @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
     @pytest.mark.parametrize("n", [2, 7, 8, 9, 300])
-    @pytest.mark.parametrize("block_rows", [None, 5])
-    def test_same_bits_as_whole_matrix_formulas(self, monkeypatch, kind, n, block_rows):
-        # block_rows = 5 shrinks the population draw's row buffer to 5 rows;
-        # standardize reduces the whole matrix and must not read it
+    def test_same_bits_as_whole_matrix_formulas(self, kind, n):
         values = _study_rows(kind, n, 40, n)
-        if block_rows is not None:
-            _block_rows(monkeypatch, block_rows, values.shape[1])
         z = standardize(values)
         for got, want in zip((z.z, z.col_means, z.col_sds), _dense_standardize(values)):
             assert np.array_equal(got, want)
         assert z.padded.shape == (n + -n % 8, values.shape[1])
         assert not z.padded[n:].any()
         assert np.shares_memory(z.z, z.padded)
+
+    def test_block_budget_does_not_change_bits(self, monkeypatch):
+        # a budget of 5 rows shrinks every blocked pass's buffer; standardize
+        # reduces the whole matrix and must not read it
+        values = _study_rows("binomial-2-p", 300, 40, 300)
+        whole = standardize(values)
+        _block_rows(monkeypatch, 5, values.shape[1])
+        blocked = standardize(values)
+        for name in ("z", "col_means", "col_sds"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
 
     def test_memory_layout_does_not_change_bits(self):
         # numpy sums a column-major matrix pairwise down its columns;
@@ -587,7 +595,17 @@ class TestStudyPipeline:
         assert study.sample.z_study.n_loci == 64
 
 
+# the two containers: the loader, the name its bad-magic refusal gives, and
+# the layout table of its arrays
+CONTAINERS = {
+    "dataset": (load_dataset, "dataset", _DATASET_ARRAYS),
+    "grm": (load_grm, "relationship-matrix", grm_module._GRM_ARRAYS),
+}
+
+
 class TestDatasetContainer:
+    # a dataset, and the framing it shares with a relationship matrix: the
+    # tests that take ``container`` run against both readers
     def test_roundtrip(self, tmp_path):
         study = simulate_case_control_study(
             heritability=0.5, population_prevalence=0.1, study_prevalence=0.5,
@@ -673,45 +691,72 @@ class TestDatasetContainer:
             save_dataset(path, bare)
         assert not path.exists()
 
-    def test_rejects_garbage_file(self, tmp_path):
+    @pytest.mark.parametrize("container", CONTAINERS)
+    def test_rejects_garbage_file(self, tmp_path, container):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a dataset")
-        with pytest.raises(ValueError, match="magic"):
-            load_dataset(path)
+        load, what, _ = CONTAINERS[container]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: not a {what} container (bad magic b'not ')")):
+            load(path)
 
     @staticmethod
-    def _saved(tmp_path):
-        study = simulate_case_control_study(
-            heritability=0.3, population_prevalence=0.2, study_prevalence=0.5,
-            n_loci=30, target_cases=15, seed=21,
-        )
-        path = tmp_path / "study.hccd"
-        save_dataset(path, study)
+    def _saved(tmp_path, container="dataset"):
+        # a saved container, its bytes and header end, and what it holds: a
+        # study's sample, or a relationship matrix of 10 rows and 30 loci
+        if container == "dataset":
+            study = simulate_case_control_study(
+                heritability=0.3, population_prevalence=0.2, study_prevalence=0.5,
+                n_loci=30, target_cases=15, seed=21,
+            )
+            path, held = tmp_path / "study.hccd", study.sample
+            save_dataset(path, study)
+        else:
+            rows = RandomSource(23).generator.standard_normal((10, 30))
+            path, held = tmp_path / "grm.bin", grm_compute(standardize(rows))
+            save_grm(path, held)
         data = path.read_bytes()
         header_end = 12 + int.from_bytes(data[4:12], "little")
-        return path, data, header_end, study.sample
+        return path, data, header_end, held
+
+    @staticmethod
+    def _header_layout(data, header_end, container):
+        # the header, and the layout its n and n_loci give
+        header = json.loads(data[12:header_end])
+        return header, _layout(header["n"], header["n_loci"], CONTAINERS[container][2])
 
     @pytest.mark.parametrize("where", ["length", "header"])
-    def test_truncated_header_is_named(self, tmp_path, where):
-        path, data, header_end, _ = self._saved(tmp_path)
-        path.write_bytes(data[:8] if where == "length" else data[:header_end - 5])
-        with pytest.raises(ValueError, match="truncated header"):
-            load_dataset(path)
+    @pytest.mark.parametrize("container", CONTAINERS)
+    def test_truncated_header_is_named(self, tmp_path, container, where):
+        path, data, header_end, _ = self._saved(tmp_path, container)
+        size = 8 if where == "length" else header_end - 5
+        path.write_bytes(data[:size])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: truncated header ({size} bytes)")):
+            CONTAINERS[container][0](path)
 
-    def test_truncated_first_array_is_named_with_byte_counts(self, tmp_path):
-        path, data, header_end, sample = self._saved(tmp_path)
+    @pytest.mark.parametrize("container", CONTAINERS)
+    def test_truncated_first_array_is_named_with_byte_counts(self, tmp_path, container):
+        path, data, header_end, _ = self._saved(tmp_path, container)
+        first = self._header_layout(data, header_end, container)[1][0]
         path.write_bytes(data[:header_end + 100])
-        with pytest.raises(ValueError, match=rf"'z' is truncated: expected "
-                                             rf"{sample.z_study.z.nbytes} bytes, got 100"):
-            load_dataset(path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: array {first['name']!r} is truncated: expected "
+                f"{math.prod(first['shape']) * 8} bytes, got 100")):
+            CONTAINERS[container][0](path)
 
-    def test_truncated_last_array_is_named_with_byte_counts(self, tmp_path):
-        path, data, _, sample = self._saved(tmp_path)
+    @pytest.mark.parametrize("container", CONTAINERS)
+    def test_truncated_last_array_is_named_with_byte_counts(self, tmp_path, container):
+        # the dataset's last array is indices (int64, n); the relationship
+        # matrix's one array is g (float64, 10 x 10)
+        path, data, header_end, _ = self._saved(tmp_path, container)
+        last = self._header_layout(data, header_end, container)[1][-1]
         path.write_bytes(data[:-3])
-        expected = sample.indices.shape[0] * 8
-        with pytest.raises(ValueError, match=rf"'indices' is truncated: expected "
-                                             rf"{expected} bytes, got {expected - 3}"):
-            load_dataset(path)
+        expected = math.prod(last["shape"]) * 8
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: array {last['name']!r} is truncated: expected "
+                f"{expected} bytes, got {expected - 3}")):
+            CONTAINERS[container][0](path)
 
     @staticmethod
     def _rewrite_header(path, data, header_end, header, body=None):
@@ -724,25 +769,28 @@ class TestDatasetContainer:
         return (f"{path}: array entry {index} is {json.dumps(entry, sort_keys=True)}, "
                 f"expected {json.dumps(spec, sort_keys=True)}")
 
-    @pytest.mark.parametrize("name", ["genotype_kind", "z", "dtype"])
-    def test_missing_header_key_or_array_is_named(self, tmp_path, name):
-        path, data, header_end, sample = self._saved(tmp_path)
-        header = json.loads(data[12:header_end])
+    @pytest.mark.parametrize("container, name", [
+        ("dataset", "genotype_kind"), ("dataset", "z"), ("dataset", "dtype"),
+        ("grm", "n_loci"), ("grm", "g"), ("grm", "dtype")])
+    def test_missing_header_key_or_array_is_named(self, tmp_path, container, name):
+        path, data, header_end, _ = self._saved(tmp_path, container)
+        header, layout = self._header_layout(data, header_end, container)
         body = data[header_end:]
-        layout = _layout(sample.y.shape[0], 30)
         if name in header:
             del header[name]
             message = f"{path}: header lacks {name!r}"
-        elif name == "z":  # the first array: drop its entry and its bytes
+        elif name == "dtype":  # of the last array
+            del header["arrays"][-1][name]
+            index = len(layout) - 1
+            message = self._entry_message(path, index, header["arrays"][-1], layout[index])
+        else:  # the first array: drop its entry and its bytes
             header["arrays"] = header["arrays"][1:]
-            body = body[sample.z_study.z.nbytes:]
-            message = self._entry_message(path, 0, layout[1], layout[0])
-        else:
-            del header["arrays"][1][name]
-            message = self._entry_message(path, 1, header["arrays"][1], layout[1])
+            body = body[math.prod(layout[0]["shape"]) * 8:]
+            entry = layout[1] if len(layout) > 1 else None
+            message = self._entry_message(path, 0, entry, layout[0])
         self._rewrite_header(path, data, header_end, header, body)
         with pytest.raises(ValueError, match=re.escape(message)):
-            load_dataset(path)
+            CONTAINERS[container][0](path)
 
     @pytest.mark.parametrize("tamper", ["rows", "n_cases", "n_loci", "col_means"])
     def test_mismatched_arrays_and_header_are_named(self, tmp_path, tamper):
@@ -752,7 +800,7 @@ class TestDatasetContainer:
         header = json.loads(data[12:header_end])
         z = sample.z_study
         n, cases = sample.y.shape[0], sample.n_cases
-        layout = _layout(n, 30)
+        layout = _layout(n, 30, _DATASET_ARRAYS)
         if tamper == "n_cases":
             header["n_cases"] = cases + 5
             self._rewrite_header(path, data, header_end, header)
@@ -760,7 +808,8 @@ class TestDatasetContainer:
         elif tamper == "n_loci":
             header["n_loci"] = 29
             self._rewrite_header(path, data, header_end, header)
-            message = self._entry_message(path, 0, layout[0], _layout(n, 29)[0])
+            message = self._entry_message(path, 0, layout[0],
+                                          _layout(n, 29, _DATASET_ARRAYS)[0])
         else:
             if tamper == "rows":
                 sample = dataclasses.replace(sample, y=sample.y[:-1], w=sample.w[:-1],
@@ -778,15 +827,19 @@ class TestDatasetContainer:
             load_dataset(path)
 
     @pytest.mark.parametrize("key, value", [("n", 38.0), ("n_loci", 30.0), ("n", True),
-                                            ("n_loci", -1), ("n", "38"), ("n_loci", None)])
-    def test_sizes_must_be_nonnegative_integers(self, tmp_path, key, value):
-        path, data, header_end, _ = self._saved(tmp_path)
+                                            ("n_loci", -1), ("n", "38"), ("n_loci", None),
+                                            ("n_loci", 0)])
+    @pytest.mark.parametrize("container", CONTAINERS)
+    def test_sizes_must_be_nonnegative_integers(self, tmp_path, container, key, value):
+        # n may be 0; a matrix of no loci is refused by both readers
+        path, data, header_end, _ = self._saved(tmp_path, container)
         header = json.loads(data[12:header_end])
         header[key] = value
         self._rewrite_header(path, data, header_end, header)
-        message = f"{path}: header {key} must be an integer >= 0, got {json.dumps(value)}"
+        low = 1 if key == "n_loci" else 0
+        message = f"{path}: header {key} must be an integer >= {low}, got {json.dumps(value)}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            load_dataset(path)
+            CONTAINERS[container][0](path)
 
     @pytest.mark.parametrize("key, value", [
         ("genotype_kind", "no-such-kind"), ("genotype_kind", None),
@@ -809,40 +862,43 @@ class TestDatasetContainer:
             load_dataset(path)
 
     @pytest.mark.parametrize("blob", [b"5", b"[1, 2]", b'"version n"', b"{", b"\xff"])
-    def test_header_must_be_a_json_object(self, tmp_path, blob):
-        path, data, header_end, _ = self._saved(tmp_path)
+    @pytest.mark.parametrize("container", CONTAINERS)
+    def test_header_must_be_a_json_object(self, tmp_path, container, blob):
+        path, data, header_end, _ = self._saved(tmp_path, container)
         path.write_bytes(data[:4] + len(blob).to_bytes(8, "little") + blob + data[header_end:])
         with pytest.raises(ValueError, match=re.escape(f"{path}: header is not a JSON object")):
-            load_dataset(path)
+            CONTAINERS[container][0](path)
 
-    @pytest.mark.parametrize("change", ["not a list", "float shape", "extra", "reordered",
-                                        "renamed"])
-    def test_arrays_must_be_the_layout(self, tmp_path, change):
-        # the header lists exactly the six arrays, in file order, with the
-        # shapes its n and n_loci give; no other listing is read
-        path, data, header_end, sample = self._saved(tmp_path)
-        header = json.loads(data[12:header_end])
-        n = sample.y.shape[0]
-        layout, entries = _layout(n, 30), header["arrays"]
+    @pytest.mark.parametrize("container, change", [
+        *[("dataset", change) for change in ("not a list", "float shape", "extra", "reordered",
+                                              "renamed")],
+        *[("grm", change) for change in ("not a list", "float shape", "extra", "renamed")]])
+    def test_arrays_must_be_the_layout(self, tmp_path, container, change):
+        # the header lists exactly the layout's arrays (a dataset's six, a
+        # relationship matrix's one), in file order, with the shapes its n and
+        # n_loci give; no other listing is read
+        path, data, header_end, _ = self._saved(tmp_path, container)
+        header, layout = self._header_layout(data, header_end, container)
+        entries = header["arrays"]
         if change == "not a list":
             header["arrays"], index, entry = 5, 0, 5
         elif change == "float shape":
-            entries[0]["shape"] = [float(n), 30]
+            entries[0]["shape"][0] = float(header["n"])
             index, entry = 0, entries[0]
         elif change == "extra":
             entries.append({"dtype": "uint8", "name": "extra", "shape": [0]})
-            index, entry = 6, entries[6]
+            index, entry = len(layout), entries[-1]
         elif change == "reordered":
             entries[3], entries[4] = entries[4], entries[3]
             index, entry = 3, entries[3]
         else:
-            entries[5]["name"] = "rows"
-            index, entry = 5, entries[5]
+            entries[-1]["name"] = "rows"
+            index, entry = len(layout) - 1, entries[-1]
         self._rewrite_header(path, data, header_end, header)
         spec = layout[index] if index < len(layout) else None
         with pytest.raises(ValueError, match=re.escape(
                 self._entry_message(path, index, entry, spec))):
-            load_dataset(path)
+            CONTAINERS[container][0](path)
 
     @pytest.mark.parametrize("key, value, message", [
         ("population_prevalence", 0.9, "population prevalence 0.9 exceeds study prevalence 0.5"),
@@ -857,21 +913,30 @@ class TestDatasetContainer:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_dataset(path)
 
-    @pytest.mark.parametrize("key, value", [("version", 1.0), ("version", True),
-                                            ("n_cases", "float"), ("n_controls", "float"),
+    @pytest.mark.parametrize("value", [1.0, True])
+    @pytest.mark.parametrize("container", CONTAINERS)
+    def test_version_must_be_the_integer_1(self, tmp_path, container, value):
+        # 1.0 and true are not 1
+        path, data, header_end, _ = self._saved(tmp_path, container)
+        header = json.loads(data[12:header_end])
+        header["version"] = value
+        self._rewrite_header(path, data, header_end, header)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: unsupported container version {json.dumps(value)}")):
+            CONTAINERS[container][0](path)
+
+    @pytest.mark.parametrize("key, value", [("n_cases", "float"), ("n_controls", "float"),
                                             ("heritability", True), ("heritability", False),
                                             ("study_prevalence", True)])
     def test_header_numbers_must_have_their_json_type(self, tmp_path, key, value):
-        # 1.0 and true are not 1, and a bool is no heritability or prevalence
+        # 20.0 is not 20, and a bool is no heritability or prevalence
         path, data, header_end, sample = self._saved(tmp_path)
         header = json.loads(data[12:header_end])
         if value == "float":
             value = float(header[key])
         header[key] = value
         self._rewrite_header(path, data, header_end, header)
-        if key == "version":
-            message = f"{path}: unsupported container version {json.dumps(value)}"
-        elif key in ("n_cases", "n_controls"):
+        if key in ("n_cases", "n_controls"):
             message = (f"{path}: header {key} is {json.dumps(value)}, "
                        f"the arrays hold {getattr(sample, key)}")
         else:
@@ -891,30 +956,40 @@ class TestDatasetContainer:
             load_dataset(path)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("block_bytes", [1 << 20, 4 * 30 * 8])
-    def test_non_finite_z_names_its_first_row(self, tmp_path, monkeypatch, value,
-                                              block_bytes):
-        # z is read in blocks of rows; at 4 rows a block the two bad rows lie
-        # in different blocks, and the first is named
-        monkeypatch.setattr(simulate_module, "_BUFFER_BYTES", block_bytes)
-        path, data, header_end, _ = self._saved(tmp_path)
+    @pytest.mark.parametrize("block_rows", [None, 4])
+    @pytest.mark.parametrize("container, cells, row", [
+        ("dataset", ((13, 4), (9, 29)), 9), ("grm", ((9, 4), (6, 1)), 6)])
+    def test_non_finite_matrix_names_its_first_row(self, tmp_path, monkeypatch, container,
+                                                   cells, row, block_rows, value):
+        # the first array, a float64 matrix, is read in blocks of rows; at 4
+        # rows a block the two bad rows lie in different blocks, and the
+        # first is named
+        path, data, header_end, _ = self._saved(tmp_path, container)
+        first = self._header_layout(data, header_end, container)[1][0]
+        n_cols = first["shape"][1]
+        if block_rows is not None:
+            _block_rows(monkeypatch, block_rows, n_cols)
         body = bytearray(data[header_end:])
-        for row, col in ((13, 4), (9, 29)):
-            at = (row * 30 + col) * 8
+        for r, c in cells:
+            at = (r * n_cols + c) * 8
             body[at:at + 8] = np.float64(value).tobytes()
         path.write_bytes(data[:header_end] + bytes(body))
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: z row 9 holds a NaN or an infinity")):
-            load_dataset(path)
+                f"{path}: {first['name']} row {row} holds a NaN or an infinity")):
+            CONTAINERS[container][0](path)
 
-    def test_study_without_loci_loads(self, tmp_path):
-        # the header allows n_loci 0; z is then read as n empty rows
+    def test_study_without_loci_is_refused(self, tmp_path):
+        # save_dataset writes the study it is given; the reader refuses its
+        # header, naming the file, before an estimator meets the empty matrix
         study = simulate_case_control_study(0.3, 0.2, 0.5, 30, 15, seed=21)
         n = study.sample.y.shape[0]
         empty = StandardizedGenotypes(np.empty((n, 0)), np.empty(0), np.empty(0))
-        save_dataset(tmp_path / "study.hccd", dataclasses.replace(
+        path = tmp_path / "study.hccd"
+        save_dataset(path, dataclasses.replace(
             study, sample=dataclasses.replace(study.sample, z_study=empty)))
-        assert load_dataset(tmp_path / "study.hccd").sample.z_study.z.shape == (n, 0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: header n_loci must be an integer >= 1, got 0")):
+            load_dataset(path)
 
     @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
     @pytest.mark.parametrize("k, p", [(0.1, 0.5), (0.01, 0.3), (0.3, 0.7)])
@@ -931,11 +1006,13 @@ class TestDatasetContainer:
         data = path.read_bytes()
         header = json.loads(data[12:12 + int.from_bytes(data[4:12], "little")])
         assert (header["n"], header["n_loci"]) == (study.sample.y.shape[0], 40)
-        assert header["arrays"] == _layout(header["n"], header["n_loci"])
+        assert header["arrays"] == _layout(header["n"], header["n_loci"], _DATASET_ARRAYS)
 
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path, data, _, _ = self._saved(tmp_path)
+    @pytest.mark.parametrize("container", CONTAINERS)
+    def test_trailing_bytes_rejected(self, tmp_path, container):
+        path, data, _, _ = self._saved(tmp_path, container)
         path.write_bytes(data + b"\0\0")
-        with pytest.raises(ValueError, match="2 trailing bytes"):
-            load_dataset(path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: 2 trailing bytes after the last array")):
+            CONTAINERS[container][0](path)
 
