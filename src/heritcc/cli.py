@@ -237,7 +237,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     study = simulate_study(cfg, cfg.seed)
     _atomic_produce(Path(args.out), lambda tmp: save_dataset(tmp, study))
     sample = study.sample
-    print(f"wrote {args.out}: n={sample.y.shape[0]} "
+    print(f"wrote {args.out}: n={sample.y.shape[0]} n_loci={study.n_loci} of {cfg.n_loci} "
           f"(cases={sample.n_cases}, controls={sample.n_controls})")
     return 0
 

@@ -432,12 +432,12 @@ def run_consistency_study(eta_star: float, population_prevalence: float,
     For each locus count the study size targets ratio_a * n_loci; reports the
     estimator RMSE and the off-diagonal mean-square statistic against its
     n/n_loci reference, next to the count, mean and sd of the experiment's
-    own :class:`MethodSummary`. Continuous genotypes by default: the smallest
-    studies on the path make constant count-like columns likely. A locus
-    count whose replications all fail gives a row with ``reps`` 0, NaN
-    statistics and the first replication's error in ``first_error``. Bad
-    parameters raise ValueError (see :func:`consistency_configs`) before
-    anything runs.
+    own :class:`MethodSummary`; the reference takes the configured n_loci,
+    whatever loci a study drops. Continuous genotypes by default, because
+    acceptance 7 runs the default and so pins its inputs. A locus count
+    whose replications all fail gives a row with ``reps`` 0, NaN statistics
+    and the first replication's error in ``first_error``. Bad parameters
+    raise ValueError (see :func:`consistency_configs`) before anything runs.
     """
     rows = []
     for cfg in consistency_configs(eta_star, population_prevalence, study_prevalence,

@@ -163,8 +163,8 @@ def sample_genotype_matrix(dist: GenotypeDistribution, n_individuals: int,
                            n_loci: int, rs: RandomSource) -> np.ndarray:
     """Draw a full genotype matrix with i.i.d. entries per column: int8 for
     the count kinds, float32 for ``standard-normal``. The dense route, in one
-    call; :func:`standardize` then refuses a constant column through
-    :func:`_column_sds`, the one refusal the blocked route shares."""
+    call; :func:`standardize` then drops the columns constant over the
+    rows it is given."""
     _check_loci(dist, n_loci)
     gen = rs.generator
     if dist.kind == "standard-normal":
@@ -228,16 +228,6 @@ class StandardizedGenotypes:
         return int(self.z.shape[1])
 
 
-def _column_sds(variances: np.ndarray) -> np.ndarray:
-    """Square roots of per-column variances, refusing the first that is not
-    positive: the one zero-variance refusal, for :func:`standardize` and
-    :func:`population_sample`."""
-    zero = np.flatnonzero(variances <= 0.0)
-    if zero.size:
-        raise ValueError(f"column {int(zero[0])} has zero empirical variance")
-    return np.sqrt(variances)
-
-
 def standardize(a: np.ndarray) -> StandardizedGenotypes:
     """Center and scale each column to empirical mean 0 and mean square 1.
 
@@ -247,9 +237,11 @@ def standardize(a: np.ndarray) -> StandardizedGenotypes:
     means and scales, and hence z, have the bits of the whole-matrix
     ``mean(axis=0)`` formulas whatever the input's memory layout.
 
+    A column of zero empirical variance (a locus monomorphic in the rows) is
+    dropped: the other columns keep the bits standardizing them alone gives.
+
     Raises:
-        ValueError: from :func:`_column_sds`, naming the first column with
-            zero empirical variance.
+        ValueError: when every column is constant, naming both counts.
     """
     values = np.asarray(a)
     n, n_loci = values.shape
@@ -258,7 +250,13 @@ def standardize(a: np.ndarray) -> StandardizedGenotypes:
     z[...] = values
     means = np.add.reduce(z, axis=0) / n
     z -= means
-    sds = _column_sds(np.einsum("ij,ij->j", z, z) / n)
+    variances = np.einsum("ij,ij->j", z, z) / n
+    kept = variances > 0.0
+    if not kept.all():
+        if not kept.any():
+            raise ValueError(f"all {n_loci} loci have zero empirical variance over {n} rows")
+        return standardize(values[:, kept])
+    sds = np.sqrt(variances)
     z /= sds
     return StandardizedGenotypes(z, means, sds)
 
@@ -428,8 +426,8 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     ``raw[indices]``. Those rows are the bits the dense route draws, because
     the genotype stream is consumed in the same row-major order regardless of
     block size, and the liabilities match it to float rounding. A column
-    constant over the population is refused by :func:`_column_sds`, the
-    refusal :func:`standardize` makes of one constant over the study.
+    constant over the population is refused: the liability pass divides by
+    its scale. :func:`standardize` drops one constant over the study only.
 
     Every kind runs its blocks through one reused float64 buffer of about
     ``_BUFFER_BYTES``, so peak memory is the raw population (N * M / 4 bytes
@@ -446,7 +444,11 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     raw, col_sum, col_sumsq = _draw_population(
         dist, n_population, n_loci, rs.spawn(_STREAM_GENOTYPES).generator)
     means = col_sum / n_population
-    sds = _column_sds(col_sumsq / n_population - means * means)
+    variances = col_sumsq / n_population - means * means
+    zero = np.flatnonzero(variances <= 0.0)
+    if zero.size:
+        raise ValueError(f"column {int(zero[0])} has zero empirical variance")
+    sds = np.sqrt(variances)
 
     gen_fx = rs.spawn(_STREAM_EFFECTS).generator
     u = gen_fx.standard_normal(n_loci) * math.sqrt(lp.heritability / n_loci)
@@ -711,7 +713,7 @@ def save_dataset(path: str | Path, data: StudyData) -> None:
 
 def load_dataset(path: str | Path) -> StudyData:
     header, arrays = _read_container(path, _MAGIC, "dataset", _HEADER_KEYS, _DATASET_ARRAYS,
-                                     (("seed", 0), ("population_size", "n")))
+                                     (("n", 2), ("seed", 0), ("population_size", "n")))
     if header["genotype_kind"] not in GENOTYPE_KINDS:
         raise ValueError(f"{path}: header genotype_kind must be one of "
                          f"{_json(GENOTYPE_KINDS)}, got {_json(header['genotype_kind'])}")

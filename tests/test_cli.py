@@ -383,6 +383,13 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         assert lines[-1].split(",")[2] == "second"
 
+    def test_loci_constant_in_a_timing_study_are_dropped(self, capsys, tmp_path):
+        # 20 rows of count genotypes at 10,000 loci meet constant loci
+        out = tmp_path / "timing.csv"
+        code, _, err = _run(capsys, "bench", "--n-values", "20", "--N-values", "10000",
+                            "--out", str(out))
+        assert (code, err) == (0, "")
+
 
 class TestConsistencyCommand:
     def test_writes_table(self, capsys, tmp_path):
@@ -415,20 +422,27 @@ class TestConsistencyCommand:
         assert {l for l in lines["standard-normal"] if "genotype_kind" not in l} == \
             {l for l in lines["rademacher"] if "genotype_kind" not in l}
 
-    def test_row_without_usable_replication_is_warned_about(self, capsys, tmp_path):
+    def test_row_without_usable_replication_is_warned_about(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # one worker runs the replications in this process, where every
+        # simulation raises
+        def failing(**kwargs):
+            raise RuntimeError("stage failed")
+
+        monkeypatch.setattr(experiments, "simulate_case_control_study", failing)
         out = tmp_path / "consistency.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _, err = _run(
                 capsys, "consistency", "--K", "0.2", "--ratio-a", "0.05",
                 "--N-values", "400", "--replications", "4",
-                "--genotype-kind", "binomial-2-p", "--threads", "1", "--out", str(out),
+                "--threads", "1", "--out", str(out),
             )
         assert code == 0
         warning_lines = [l for l in err.splitlines() if l.startswith("warning:")]
         assert len(warning_lines) == 1
         assert "n_loci=400" in warning_lines[0]
-        assert "zero empirical variance" in warning_lines[0]
+        assert warning_lines[0].endswith("first error: RuntimeError: stage failed")
         row = out.read_text().strip().splitlines()[-1]
         assert row == "400,20,0,nan,nan,nan,nan,nan"
 

@@ -467,6 +467,16 @@ class TestTiming:
         assert calls == {m: 3 for m in methods}
 
 
+def _fail_every_simulation(monkeypatch) -> str:
+    # a failure no draw decides: every replication's simulation raises;
+    # returns the error a replication records
+    def failing(**kwargs):
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(experiments, "simulate_case_control_study", failing)
+    return "RuntimeError: stage failed"
+
+
 class TestConsistencyStudy:
     def test_null_model_mean_small_where_estimator_is_precise(self):
         # zero heritability: clamping maps pure noise to a positive mean of
@@ -521,14 +531,12 @@ class TestConsistencyStudy:
         with pytest.raises(ValueError, match=f"non-negative integer, got {seed}$"):
             experiments.consistency_configs(0.5, 0.2, 0.5, 0.05, n_loci_values, 1, seed)
 
-    @pytest.mark.parametrize("reps, seed, genotype_kind, usable", [
-        (4, 17, experiments.CONSISTENCY_GENOTYPE_KIND, 4),
-        (1, 3, experiments.CONSISTENCY_GENOTYPE_KIND, 1),
-        # count genotypes in 20-person studies meet a constant column
-        (4, 1, "binomial-2-p", 0),
-    ], ids=["several-usable", "one-usable", "none-usable"])
-    def test_rows_read_the_experiment_summary(self, reps, seed, genotype_kind, usable):
-        args = (0.5, 0.2, 0.5, 0.05, [400], reps, seed, genotype_kind)
+    @pytest.mark.parametrize("reps, seed, usable", [(4, 17, 4), (1, 3, 1), (4, 1, 0)],
+                             ids=["several-usable", "one-usable", "none-usable"])
+    def test_rows_read_the_experiment_summary(self, monkeypatch, reps, seed, usable):
+        if not usable:
+            _fail_every_simulation(monkeypatch)
+        args = (0.5, 0.2, 0.5, 0.05, [400], reps, seed)
         (row,) = run_consistency_study(*args)
         (cfg,) = experiments.consistency_configs(*args)
         summaries = run_experiment(cfg).summaries
@@ -548,15 +556,13 @@ class TestConsistencyStudy:
         assert rows[0].reps == 1
         assert rows[0].sd == 0.0
 
-    def test_no_usable_replication_gives_nan_row_without_warnings(self):
-        # count genotypes in 20-person studies: every replication meets a
-        # constant column
+    def test_no_usable_replication_gives_nan_row_without_warnings(self, monkeypatch):
+        error = _fail_every_simulation(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = run_consistency_study(0.5, 0.2, 0.5, 0.05, [400], 4, 1,
-                                         genotype_kind="binomial-2-p")
+            rows = run_consistency_study(0.5, 0.2, 0.5, 0.05, [400], 4, 1)
         row = rows[0]
         assert row.reps == 0
         assert all(np.isnan([row.mean, row.sd, row.rmse, row.mean_sq_offdiag,
                              row.ratio_deviation]))
-        assert "zero empirical variance" in row.first_error
+        assert row.first_error == error

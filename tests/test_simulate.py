@@ -64,10 +64,24 @@ class TestStandardize:
         assert np.abs(z.z.sum(axis=0)).max() <= 1e-10 * n
         assert np.abs((z.z**2).sum(axis=0) - n).max() <= 1e-8 * n
 
-    def test_zero_variance_column_named(self):
-        a = np.ones((10, 3))
-        a[:, :2] = np.random.default_rng(0).normal(size=(10, 2))
-        with pytest.raises(ValueError, match="column 2"):
+    def test_constant_columns_are_dropped(self):
+        # constant columns first, in the middle and last: the rest keep the
+        # bits that standardizing them alone gives
+        a = np.random.default_rng(0).integers(0, 3, size=(10, 8)).astype(np.int8)
+        a[:, [0, 4, 7]] = [1, 0, 2]
+        polymorphic = [1, 2, 3, 5, 6]
+        assert (a[:, polymorphic].std(axis=0) > 0.0).all()
+        z, want = standardize(a), standardize(a[:, polymorphic])
+        assert z.n_loci == 5
+        for name in ("z", "col_means", "col_sds"):
+            assert np.array_equal(getattr(z, name), getattr(want, name))
+
+    @pytest.mark.parametrize("a", [np.ones((10, 3)), np.arange(4.0).reshape(1, 4)],
+                             ids=["constant-columns", "one-row"])
+    def test_all_constant_columns_are_refused(self, a):
+        n, n_loci = a.shape
+        with pytest.raises(ValueError, match=re.escape(
+                f"all {n_loci} loci have zero empirical variance over {n} rows")):
             standardize(a)
 
 
@@ -586,6 +600,21 @@ class TestStudyPipeline:
             assert (x == y) is False and x == x
             assert hash(x) == hash(x)
 
+    def test_loci_constant_in_a_small_study_are_dropped(self, tmp_path):
+        # 19 rows of count genotypes meet 4 loci constant over them, which
+        # the relationship matrix and the dataset leave out
+        study = simulate_case_control_study(0.5, 0.2, 0.5, n_loci=400, target_cases=10,
+                                            seed=2, genotype_kind="binomial-2-p")
+        assert study.n_loci == 396
+        assert grm_compute(study.sample.z_study).n_loci == study.n_loci
+        path = tmp_path / "study.hccd"
+        save_dataset(path, study)
+        data = path.read_bytes()
+        header = json.loads(data[12:12 + int.from_bytes(data[4:12], "little")])
+        loaded = load_dataset(path)
+        assert header["n_loci"] == loaded.n_loci == study.n_loci
+        assert np.array_equal(loaded.sample.z_study.z, study.sample.z_study.z)
+
     @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
     def test_all_genotype_kinds_run(self, kind):
         study = simulate_case_control_study(
@@ -831,7 +860,8 @@ class TestDatasetContainer:
                                             ("n_loci", 0)])
     @pytest.mark.parametrize("container", CONTAINERS)
     def test_sizes_must_be_nonnegative_integers(self, tmp_path, container, key, value):
-        # n may be 0; a matrix of no loci is refused by both readers
+        # the framing's bounds, n >= 0 and n_loci >= 1; each reader's own
+        # n >= 2 is tested apart
         path, data, header_end, _ = self._saved(tmp_path, container)
         header = json.loads(data[12:header_end])
         header[key] = value
@@ -840,6 +870,20 @@ class TestDatasetContainer:
         message = f"{path}: header {key} must be an integer >= {low}, got {json.dumps(value)}"
         with pytest.raises(ValueError, match=re.escape(message)):
             CONTAINERS[container][0](path)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_names_path(self, tmp_path, n):
+        # standardize refuses a study of one row; a damaged or foreign file
+        # may hold fewer than two
+        study = simulate_case_control_study(0.3, 0.2, 0.5, 30, 15, seed=21)
+        s, z = study.sample, study.sample.z_study
+        cut = dataclasses.replace(s, y=s.y[:n], w=s.w[:n], indices=s.indices[:n],
+                                  z_study=StandardizedGenotypes(z.z[:n], z.col_means, z.col_sds))
+        path = tmp_path / "study.hccd"
+        save_dataset(path, dataclasses.replace(study, sample=cut))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: header n must be an integer >= 2, got {n}")):
+            load_dataset(path)
 
     @pytest.mark.parametrize("key, value", [
         ("genotype_kind", "no-such-kind"), ("genotype_kind", None),
