@@ -332,7 +332,8 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     meta = {"seed": args.seed, "methods": ",".join(args.methods)}
     _atomic_produce(Path(args.out), lambda tmp: write_csv(tmp, TimingRow, rows, meta))
     for row in rows:
-        print(f"n={row.n} n_loci={row.n_loci} {row.method}: {row.seconds:.3f}s")
+        print(f"n={row.n} n_loci={row.polymorphic_loci} of {row.n_loci} "
+              f"{row.method}: {row.seconds:.3f}s")
     print(f"wrote {args.out}")
     return 0
 

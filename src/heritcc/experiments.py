@@ -311,6 +311,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 class TimingRow:
     n: int
     n_loci: int
+    polymorphic_loci: int  # the loci standardize keeps: the matrix's M
     method: str
     seconds: float
 
@@ -364,6 +365,7 @@ def run_timing(n_values: list[int], n_loci_values: list[int],
     for n in n_values:
         for n_loci in n_loci_values:
             raw, sample = _timing_inputs(n, n_loci, seed)
+            kept = standardize(raw).n_loci
             times = {method: [] for method in methods}
             for method in methods:
                 _run_estimation(raw, sample, _TIMING_DESIGN, method)  # warm-up
@@ -372,7 +374,7 @@ def run_timing(n_values: list[int], n_loci_values: list[int],
                     t0 = time.perf_counter()
                     _run_estimation(raw, sample, _TIMING_DESIGN, method)
                     times[method].append(time.perf_counter() - t0)
-            rows.extend(TimingRow(n, n_loci, method, statistics.median(times[method]))
+            rows.extend(TimingRow(n, n_loci, kept, method, statistics.median(times[method]))
                         for method in methods)
     return rows
 

@@ -241,9 +241,14 @@ def standardize(a: np.ndarray) -> StandardizedGenotypes:
     dropped: the other columns keep the bits standardizing them alone gives.
 
     Raises:
-        ValueError: when every column is constant, naming both counts.
+        ValueError: when a float column holds a NaN or an infinity, naming
+            it, or when every column is constant, naming both counts.
     """
     values = np.asarray(a)
+    if values.dtype.kind == "f":
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
+        if bad.size:
+            raise ValueError(f"column {int(bad[0])} holds a NaN or an infinity")
     n, n_loci = values.shape
     padded = _padded_rows(n, n_loci)
     z = padded[:n]
@@ -426,8 +431,10 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
     ``raw[indices]``. Those rows are the bits the dense route draws, because
     the genotype stream is consumed in the same row-major order regardless of
     block size, and the liabilities match it to float rounding. A column
-    constant over the population is refused: the liability pass divides by
-    its scale. :func:`standardize` drops one constant over the study only.
+    constant over the population gets liability weight 0, as
+    :func:`standardize` drops it from every study; its drawn effect is left
+    out, not spread over the others, so the expected genetic variance is
+    h^2 (M - m0) / M for m0 such columns.
 
     Every kind runs its blocks through one reused float64 buffer of about
     ``_BUFFER_BYTES``, so peak memory is the raw population (N * M / 4 bytes
@@ -445,15 +452,11 @@ def population_sample(dist: GenotypeDistribution, n_population: int, n_loci: int
         dist, n_population, n_loci, rs.spawn(_STREAM_GENOTYPES).generator)
     means = col_sum / n_population
     variances = col_sumsq / n_population - means * means
-    zero = np.flatnonzero(variances <= 0.0)
-    if zero.size:
-        raise ValueError(f"column {int(zero[0])} has zero empirical variance")
-    sds = np.sqrt(variances)
 
     gen_fx = rs.spawn(_STREAM_EFFECTS).generator
     u = gen_fx.standard_normal(n_loci) * math.sqrt(lp.heritability / n_loci)
     e = gen_fx.standard_normal(n_population) * math.sqrt(1.0 - lp.heritability)
-    v = u / sds
+    v = np.divide(u, np.sqrt(variances), out=np.zeros(n_loci), where=variances > 0.0)
     liabilities = np.empty(n_population)
     rows = _rows_per_block(n_population, n_loci)  # the draw's blocks
     for lo in range(0, n_population, rows):

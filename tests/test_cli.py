@@ -381,14 +381,18 @@ class TestBench:
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[-1].split(",")[2] == "second"
+        assert lines[-1].split(",")[:4] == ["20", "40", "40", "second"]
 
     def test_loci_constant_in_a_timing_study_are_dropped(self, capsys, tmp_path):
-        # 20 rows of count genotypes at 10,000 loci meet constant loci
+        # 20 rows of count genotypes at 10,000 loci meet constant loci: each
+        # row names the grid's count and the count the matrix averaged over
         out = tmp_path / "timing.csv"
-        code, _, err = _run(capsys, "bench", "--n-values", "20", "--N-values", "10000",
-                            "--out", str(out))
+        code, printed, err = _run(capsys, "bench", "--n-values", "20", "--N-values", "10000",
+                                  "--out", str(out))
         assert (code, err) == (0, "")
+        n, n_loci, kept, _, _ = out.read_text().strip().splitlines()[-1].split(",")
+        assert (n, n_loci) == ("20", "10000") and int(kept) < 10_000
+        assert f"n=20 n_loci={kept} of 10000 second: " in printed
 
 
 class TestConsistencyCommand:

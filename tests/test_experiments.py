@@ -188,6 +188,13 @@ class TestOneLocusCount:
         assert record.error is None
         assert set(record.eta_hat) == {"first", "second"}
 
+    def test_loci_constant_over_small_populations_fail_no_replication(self):
+        # N = 50: replications 22 and 25 draw a locus constant over the
+        # whole population, which the liability pass leaves out
+        cfg = ExperimentConfig(0.5, 0.2, 0.5, n_loci=400, target_cases=10,
+                               replications=40, seed=5)
+        assert [r.error for r in run_experiment(cfg).records] == [None] * 40
+
     def test_container_takes_the_count_of_its_arrays(self, drop_last_locus, tmp_path):
         study = experiments.simulate_study(SMOKE, 7)
         assert study.n_loci == SMOKE.n_loci - 1
@@ -375,7 +382,7 @@ class TestRecordsCsv:
         (ReplicationRecord, ("second", "first"),
          _RECORDS_HEADER.format("eta_hat_second,eta_hat_first")),
         (MethodSummary, (), "method,n_ok,mean,sd,bias,q25,median,q75"),
-        (TimingRow, (), "n,n_loci,method,seconds"),
+        (TimingRow, (), "n,n_loci,polymorphic_loci,method,seconds"),
         (ConsistencyRow, (),
          "n_loci,target_n,reps,mean,sd,rmse,mean_sq_offdiag,ratio_deviation"),
     ], ids=["records-first", "records-second", "records-second-first", "summary", "timing",

@@ -76,6 +76,15 @@ class TestStandardize:
         for name in ("z", "col_means", "col_sds"):
             assert np.array_equal(getattr(z, name), getattr(want, name))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_column_is_refused_and_named(self, bad, dtype):
+        # refused before any arithmetic, which would warn on an infinity,
+        # not dropped as a constant column
+        a = np.array([[0.0, 1.0, 4.0], [1.0, 2.0, bad], [1.0, 3.0, 5.0]], dtype=dtype)
+        with pytest.raises(ValueError, match="^column 2 holds a NaN or an infinity$"):
+            standardize(a)
+
     @pytest.mark.parametrize("a", [np.ones((10, 3)), np.arange(4.0).reshape(1, 4)],
                              ids=["constant-columns", "one-row"])
     def test_all_constant_columns_are_refused(self, a):
@@ -300,13 +309,22 @@ class TestSimulatePopulation:
         with pytest.raises(ValueError, match=re.escape(message)):
             GenotypeDistribution(kind, freqs)
 
-    def test_constant_population_column_named(self):
-        # a frequency of 1e-12 draws no allele in 50 rows: the population
-        # pass refuses the column with standardize's message
+    def test_constant_population_column_gets_weight_zero(self):
+        # a frequency of 1e-12 draws no allele in 50 rows: the liability pass
+        # mixes the other two columns only, with the effects they drew
+        n, h = 50, 0.5
         dist = GenotypeDistribution("binomial-2-p", [0.3, 1e-12, 0.5])
-        with pytest.raises(ValueError, match="^column 1 has zero empirical variance$"):
-            population_sample(dist, 50, 3, LiabilityParams(0.5),
-                              design_from_prevalences(0.1, 0.5), RandomSource(1))
+        raw, liab, _ = population_sample(dist, n, 3, LiabilityParams(h),
+                                         design_from_prevalences(0.1, 0.5), RandomSource(1))
+        x = raw[np.arange(n)].astype(np.float64)
+        assert not x[:, 1].any() and (x[:, [0, 2]].std(axis=0) > 0.0).all()
+        kept = x[:, [0, 2]]
+        means = kept.sum(axis=0) / n
+        sds = np.sqrt((kept * kept).sum(axis=0) / n - means * means)
+        gen = RandomSource(1).spawn(1).generator
+        v = (gen.standard_normal(3) * math.sqrt(h / 3))[[0, 2]] / sds
+        e = gen.standard_normal(n) * math.sqrt(1.0 - h)
+        np.testing.assert_allclose(liab, (kept - means) @ v + e, rtol=0.0, atol=1e-15)
 
     def test_list_of_frequencies_draws_as_the_equal_array(self):
         freqs = [0.3, 0.5, 0.05, 0.9]
@@ -614,6 +632,14 @@ class TestStudyPipeline:
         loaded = load_dataset(path)
         assert header["n_loci"] == loaded.n_loci == study.n_loci
         assert np.array_equal(loaded.sample.z_study.z, study.sample.z_study.z)
+
+    def test_loci_constant_in_a_small_population_are_dropped(self):
+        # N = 50 draws a locus constant over the whole population (column
+        # 129): the liability pass leaves it out, and so does the study
+        study = simulate_case_control_study(0.5, 0.2, 0.5, n_loci=400, target_cases=10, seed=5)
+        assert study.population_size == 50
+        assert study.n_loci < 400
+        assert grm_compute(study.sample.z_study).n_loci == study.n_loci
 
     @pytest.mark.parametrize("kind", ["binomial-2-p", "standard-normal", "rademacher"])
     def test_all_genotype_kinds_run(self, kind):
