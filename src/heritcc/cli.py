@@ -287,12 +287,12 @@ def _cmd_estimate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     data = load_dataset(args.input)
     g = grm_compute(data.sample.z_study)
     methods = METHODS if args.method == "both" else (args.method,)
-    reports = [estimate(m, data.sample, g, data.design) for m in methods]
+    reports = {m: estimate(m, data.sample, g, data.design) for m in methods}
     payload = {
         "input": str(args.input),
         "n": data.sample.y.shape[0],
         "n_loci": data.n_loci,
-        "reports": [asdict(r) for r in reports],
+        "reports": [{"method": m} | asdict(r) for m, r in reports.items()],
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -300,8 +300,8 @@ def _cmd_estimate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         print(f"wrote {args.out}")
     else:
         print(text)
-    for r in reports:
-        print(f"{r.method}: eta_hat={r.eta_hat:.6f}")
+    for m, r in reports.items():
+        print(f"{m}: eta_hat={r.eta_hat:.6f}")
     return 0
 
 

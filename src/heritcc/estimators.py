@@ -50,9 +50,8 @@ METHODS = ("first", "second")
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Outcome of one estimation run."""
+    """Outcome of one estimation run; the caller knows which method ran."""
 
-    method: str
     eta_hat: float
     raw_ratio: float | None
     converged: bool
@@ -107,7 +106,6 @@ def estimate_first_order(sample: AscertainedSample, g: GrmView,
         raise ValueError(_DEGENERATE)
     raw = num / (design.slope * den_sq)
     return EstimateReport(
-        method="first-order",
         eta_hat=_clamp_unit(raw),
         raw_ratio=raw,
         converged=True,
@@ -243,7 +241,6 @@ def estimate_second_order(sample: AscertainedSample, g: GrmView,
     values = np.polyval(poly, candidates)
     best = int(np.argmin(values))
     return EstimateReport(
-        method="second-order",
         eta_hat=float(candidates[best]),
         raw_ratio=None,
         converged=converged,

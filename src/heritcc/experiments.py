@@ -262,7 +262,6 @@ class MethodSummary:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    config: ExperimentConfig
     records: list[ReplicationRecord]
     summaries: dict[str, MethodSummary]
 
@@ -299,7 +298,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     records = _pool_map(functools.partial(run_replication, cfg),
                         list(range(cfg.replications)), workers)
     records.sort(key=lambda r: r.rep_index)
-    return ExperimentResult(cfg, records, summarize_records(cfg, records))
+    return ExperimentResult(records, summarize_records(cfg, records))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +328,9 @@ def _timing_inputs(n: int, n_loci: int, seed: int):
     return raw, sample
 
 
-def _run_estimation(raw, sample, design, method: str) -> None:
-    estimate(method, sample, grm_compute(standardize(raw)), design)
+def _run_estimation(raw, sample, design, method: str) -> int:
+    estimate(method, sample, g := grm_compute(standardize(raw)), design)
+    return g.n_loci  # the loci standardize kept
 
 
 def check_timing_grid(n_values: list[int], n_loci_values: list[int],
@@ -357,18 +357,17 @@ def run_timing(n_values: list[int], n_loci_values: list[int],
     Timed work: standardize + relationship matrix + estimator, matching the
     cost of producing one estimate from raw study genotypes. Within a grid
     point the methods take turns, one repeat each, so a drift in host speed
-    lands on every method alike rather than on whichever ran later. The grid
-    is checked by :func:`check_timing_grid` before anything runs.
+    lands on every method alike. ``polymorphic_loci`` is the M of the
+    warm-up's matrix. :func:`check_timing_grid` checks the grid first.
     """
     check_timing_grid(n_values, n_loci_values, methods)
     rows = []
     for n in n_values:
         for n_loci in n_loci_values:
             raw, sample = _timing_inputs(n, n_loci, seed)
-            kept = standardize(raw).n_loci
             times = {method: [] for method in methods}
             for method in methods:
-                _run_estimation(raw, sample, _TIMING_DESIGN, method)  # warm-up
+                kept = _run_estimation(raw, sample, _TIMING_DESIGN, method)  # warm-up
             for _ in range(repeats):
                 for method in methods:
                     t0 = time.perf_counter()

@@ -270,8 +270,8 @@ def standardize(a: np.ndarray) -> StandardizedGenotypes:
 class StudyDesign:
     """Prevalences, liability threshold, and selection probabilities.
 
-    ``p_case`` is 1 (every case joins the study); ``p_control`` is the unique
-    value making the expected study prevalence equal to ``study_prevalence``.
+    ``p_case`` is a read-only property, always 1 (the pair moments assume every
+    case joins the study); ``p_control`` makes the expected study prevalence P.
 
     The pair moments' constants of the design alone are derived when it is
     built (``dataclasses.replace`` derives them afresh) and take no part in
@@ -289,7 +289,6 @@ class StudyDesign:
     population_prevalence: float
     study_prevalence: float
     threshold: float
-    p_case: float
     p_control: float
     slope: float = field(init=False, repr=False, compare=False)
     ratio_weights: tuple[float, float, float] = field(init=False, repr=False, compare=False)
@@ -310,6 +309,10 @@ class StudyDesign:
         object.__setattr__(self, "weight_factors", (
             scale, dsq, scale * dsq, t * t / 4.0, t * t / 2.0 - mismatch * mismatch * dsq,
             t * t - 1.0 - mismatch * t * density))
+
+    @property
+    def p_case(self) -> float:
+        return 1.0
 
 
 def design_from_prevalences(population_prevalence: float, study_prevalence: float) -> StudyDesign:
@@ -332,7 +335,7 @@ def design_from_prevalences(population_prevalence: float, study_prevalence: floa
         )
     threshold = -std_normal_quantile(k)  # the lower tail keeps the digits of a small K
     p_control = k * (1.0 - p) / (p * (1.0 - k))
-    return StudyDesign(k, p, threshold, 1.0, p_control)
+    return StudyDesign(k, p, threshold, p_control)
 
 
 @dataclass(frozen=True)

@@ -186,14 +186,15 @@ class TestPipelineRoundTrip:
     def test_estimate_both_methods(self, capsys, tmp_path, dataset):
         report_paths = [tmp_path / "report1.json", tmp_path / "report2.json"]
         for report_path in report_paths:
-            code, _, _ = _run(
+            code, out, _ = _run(
                 capsys, "estimate", "--in", str(dataset), "--method", "both",
                 "--out", str(report_path),
             )
             assert code == 0
         payload = json.loads(report_paths[0].read_text())
-        methods = {r["method"] for r in payload["reports"]}
-        assert methods == {"first-order", "second-order"}
+        # each report carries the METHODS name it was asked for
+        assert [r["method"] for r in payload["reports"]] == ["first", "second"]
+        assert [line.split(":")[0] for line in out.splitlines()[-2:]] == ["first", "second"]
         for r in payload["reports"]:
             assert 0.0 <= r["eta_hat"] <= 1.0
         # nothing in the report depends on timing

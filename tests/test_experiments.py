@@ -465,6 +465,20 @@ class TestTiming:
         # one warm-up each, then the repeats alternate
         assert calls == ["first", "second"] * 4
 
+    def test_kept_loci_come_from_the_runs_own_matrices(self, monkeypatch):
+        # no standardize of the cell besides the one inside each run
+        calls = []
+
+        def counted(raw, original=simulate.standardize):
+            calls.append(raw.shape)
+            return original(raw)
+
+        monkeypatch.setattr(experiments, "standardize", counted)
+        rows = run_timing([20], [1000], methods=("first", "second"), seed=1, repeats=2)
+        assert calls == [(20, 1000)] * 2 * (1 + 2)
+        kept = simulate.standardize(experiments._timing_inputs(20, 1000, 1)[0]).n_loci
+        assert kept < 1000 and [r.polymorphic_loci for r in rows] == [kept, kept]
+
     @pytest.mark.parametrize("methods", [("first",), ("second",), ("second", "first")])
     def test_estimators_are_reached_through_their_module_names(self, monkeypatch, methods):
         # perfbench's tracer wraps these module attributes to time the

@@ -14,6 +14,7 @@ from _zmoments import z_property_suite
 
 from heritcc import grm as grm_module
 from heritcc import simulate as simulate_module
+from heritcc.estimators import _pair_sums
 from heritcc.grm import (
     GrmView,
     event_en_check,
@@ -286,6 +287,16 @@ class TestMeanSquareOffdiagonal:
         default = mean_square_offdiagonal(g)
         monkeypatch.setattr(simulate_module, "_BUFFER_BYTES", rows * 8 * 600)
         assert mean_square_offdiagonal(g) == default
+
+    @pytest.mark.parametrize("n, seed, panels", [(300, 3, 1), (372, 3, 2), (495, 5, 2),
+                                                 (697, 7, 4)])
+    def test_equals_the_first_order_squared_sum_over_n(self, n, seed, panels):
+        # the same panel sums as the first-order pass's second one, bit for
+        # bit, so a replication could take its statistic from that pass
+        g = grm_compute(_random_z(n, 50, seed))
+        assert len(list(grm_module._offdiagonal_panels(g.g))) == panels
+        w = np.random.default_rng(seed).standard_normal(n)
+        assert mean_square_offdiagonal(g) == _pair_sums(w, g.g)[1] / n
 
     def test_peak_memory_is_panels_not_matrices(self):
         n = 3000

@@ -248,19 +248,18 @@ class TestDesign:
 
 
 def _derived(design):
-    """The values a design derives from its five fields, by name."""
+    """The values a design derives from its four fields, by name."""
     return {f.name: getattr(design, f.name) for f in dataclasses.fields(design) if not f.init}
 
 
 class TestDesignConstants:
-    def test_equality_hash_and_repr_read_the_five_fields(self):
+    def test_equality_hash_and_repr_read_the_four_fields(self):
         a, b = design_from_prevalences(0.1, 0.5), design_from_prevalences(0.1, 0.5)
         assert a == b and hash(a) == hash(b)
-        fields = (0.1, 0.5, a.threshold, 1.0, a.p_control)
+        fields = (0.1, 0.5, a.threshold, a.p_control)
         assert hash(a) == hash(fields) and a == StudyDesign(*fields)
         assert repr(a) == ("StudyDesign(population_prevalence=0.1, study_prevalence=0.5, "
-                           "threshold=1.2815515655446008, p_case=1.0, "
-                           "p_control=0.11111111111111112)")
+                           "threshold=1.2815515655446008, p_control=0.11111111111111112)")
         assert set(_derived(a)) == {"slope", "ratio_weights", "weight_factors"}
         assert a != design_from_prevalences(0.1, 0.4)
 
@@ -272,11 +271,26 @@ class TestDesignConstants:
             moved = dataclasses.replace(design, **changes)
             fresh = StudyDesign(*(getattr(moved, f) for f in
                                   ("population_prevalence", "study_prevalence", "threshold",
-                                   "p_case", "p_control")))
+                                   "p_control")))
             assert _derived(moved) == _derived(fresh)
             assert _derived(moved) != _derived(design)
         with pytest.raises(ValueError):
             dataclasses.replace(design, slope=1.0)
+
+    def test_case_selection_probability_is_a_read_only_one(self):
+        # every case joins the study: no design can hold another p_case
+        design = design_from_prevalences(0.1, 0.5)
+        with pytest.raises(TypeError):
+            StudyDesign(0.1, 0.5, design.threshold, 1.0, design.p_control)
+        for bad in ({"p_case": 0.5}, {"p_case": 1.0}):
+            with pytest.raises(TypeError):
+                dataclasses.replace(design, **bad)
+        with pytest.raises(AttributeError):
+            design.p_case = 0.5
+        designs = [design_from_prevalences(k, p) for k, p in
+                   [(0.1, 0.5), (0.005, 0.3), (0.3, 0.3), (1e-150, 0.5)]]
+        designs += [StudyDesign(0.2, 0.4, 0.8, 0.6), dataclasses.replace(design, p_control=0.3)]
+        assert [d.p_case for d in designs] == [1.0] * 6
 
     def test_pickle_keeps_the_design_and_its_values(self):
         design = design_from_prevalences(0.005, 0.3)
