@@ -321,6 +321,10 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         print(f"{method}: mean={summary.mean:.4f} sd={summary.sd:.4f} "
               f"bias={summary.bias:+.4f} (n_ok={summary.n_ok})")
     print(f"wrote {out_dir/'records.csv'} and {out_dir/'summary.csv'}")
+    failed = [r.error for r in result.records if r.error]
+    if failed:
+        print(f"warning: {len(failed)} of {cfg.replications} replications failed; "
+              f"first error: {failed[0]}", file=sys.stderr)
     return 0
 
 

@@ -2,18 +2,19 @@
 consistency trends.
 
 Replications draw from substreams indexed by replication number, so results
-are identical no matter how work is scheduled; records are sorted by index
-before any output is written. Pool workers are spawned with one BLAS thread
-each, so a pool of one worker per core runs one thread per core. A process
-keeps one pool: it starts at the first pooled call and serves every later
-call with the same worker count (each experiment, each locus count of a
-consistency study), so workers import numpy and heritcc once. A call with
-another worker count, or a pool found broken when a call starts, is replaced;
-a pool that breaks while tasks run is dropped; interpreter exit shuts it
-down. CSV outputs carry the full configuration as comment lines, a column per
-written row field, and round-trip exactly (floats serialized with repr). A
-seed fixes their bytes for one BLAS build and kernel: another kernel may move
-an estimate's last digits.
+are identical no matter how work is scheduled; records come back in index
+order. Pool workers are spawned with one BLAS thread each, so a pool of one
+worker per core runs one thread per core. A process keeps one pool: it
+starts at the first pooled call and serves every later call with the same
+worker count (each experiment, each locus count of a consistency study), so
+workers import numpy and heritcc once. A call with another worker count, or
+a pool found broken when a call starts, replaces it; interpreter exit shuts
+it down. A worker that dies mid-call fails the replications the pool had not
+finished, which become failed records; the finished ones are kept. CSV
+outputs carry the full configuration as comment lines, a column per written
+row field, and round-trip exactly (floats serialized with repr). A seed
+fixes their bytes for one BLAS build and kernel: another kernel may move an
+estimate's last digits.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 import statistics
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import Field, asdict, dataclass, field, fields
 from pathlib import Path
@@ -81,20 +82,18 @@ _pool_workers = 0
 
 
 def _replace_pool(workers: int) -> None:
-    """Shut the kept pool down and keep a fresh one of ``workers``
-    processes, or none for ``workers`` 0."""
+    """Shut the kept pool down and keep a fresh one of ``workers`` processes."""
     global _pool, _pool_workers
     if _pool is not None:
         _pool.shutdown()
-    _pool, _pool_workers = None, workers
-    if workers:
-        _pool = ProcessPoolExecutor(max_workers=workers,
-                                    mp_context=multiprocessing.get_context("spawn"))
+    _pool = ProcessPoolExecutor(max_workers=workers,
+                                mp_context=multiprocessing.get_context("spawn"))
+    _pool_workers = workers
 
 
-def _pool_map(fn, tasks: list, workers: int) -> list:
+def _pool_map(fn, tasks: list, workers: int, on_break) -> list:
     """``[fn(t) for t in tasks]``, spread over ``workers`` processes when
-    ``workers > 1``.
+    ``workers > 1``; a task lost to a dead worker gives ``on_break(t, exc)``.
 
     Each worker runs one task at a time, so it gets one BLAS thread: the
     workers are spawned, load BLAS afresh and take its thread count from the
@@ -103,31 +102,39 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
     restored afterwards. The serial path keeps the caller's BLAS threads.
 
     The pool outlives the call: the next call with the same ``workers``
-    reuses its warm workers, a call with another count replaces it, and so
-    does a call that finds it broken (a worker died since the last call).
-    A ``BrokenProcessPool`` while tasks run drops it before re-raising, so
-    the call after starts fresh workers. It lives until interpreter exit,
-    when ``concurrent.futures`` shuts it down.
+    reuses its warm workers; a call with another count, or one that finds
+    the pool broken, replaces it. A dead worker fails every task the pool has
+    not finished, queued ones included, and the pool refuses later
+    submissions; each such task gives ``on_break``'s value. A task's own
+    exception propagates once the queued tasks are cancelled. The pool lives
+    until interpreter exit, when ``concurrent.futures`` shuts it down.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with _ENVIRON_LOCK:
         saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        futures = []
         try:
-            if _pool is None or _pool_workers != workers:
+            if _pool is None or _pool_workers != workers or _pool._broken:
                 _replace_pool(workers)
-            try:
+            for task in tasks:
                 try:
-                    results = _pool.map(fn, tasks)  # submits every task before it returns
-                except BrokenProcessPool:
-                    _replace_pool(workers)
-                    results = _pool.map(fn, tasks)
-                return list(results)
-            except BrokenProcessPool:
-                _replace_pool(0)
-                raise
+                    futures.append(_pool.submit(fn, task))
+                except BrokenProcessPool as exc:
+                    refused = Future()
+                    refused.set_exception(exc)
+                    futures.append(refused)
+            results = []
+            for task, future in zip(tasks, futures):
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool as exc:
+                    results.append(on_break(task, exc))
+            return results
         finally:
+            for future in futures:
+                future.cancel()
             for name, value in saved.items():
                 if value is None:
                     os.environ.pop(name, None)
@@ -238,14 +245,14 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
             mean_sq_offdiag=mean_square_offdiagonal(g),
         )
     except Exception as exc:  # any failure is recorded, so the other replications survive
-        return ReplicationRecord(
-            rep_index=rep_index,
-            realized_n=0,
-            realized_cases=0,
-            eta_hat={},
-            en_holds=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed_record(rep_index, exc)
+
+
+def _failed_record(rep_index: int, exc: BaseException) -> ReplicationRecord:
+    """The record of replication ``rep_index``, which ``exc`` ended."""
+    return ReplicationRecord(rep_index=rep_index, realized_n=0, realized_cases=0,
+                             eta_hat={}, en_holds=False,
+                             error=f"{type(exc).__name__}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -292,12 +299,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     ``workers > 1`` fans replications out to a process pool; scheduling never
     changes the records because each replication derives its own stream.
-    ``workers`` below 1 raises ValueError.
+    Records come in replication order; one that raised or lost its worker has
+    ``error`` set and no summary counts it. ``workers`` below 1 raises ValueError.
     """
     check_workers(workers)
     records = _pool_map(functools.partial(run_replication, cfg),
-                        list(range(cfg.replications)), workers)
-    records.sort(key=lambda r: r.rep_index)
+                        list(range(cfg.replications)), workers, _failed_record)
     return ExperimentResult(records, summarize_records(cfg, records))
 
 

@@ -299,6 +299,38 @@ class TestExperimentCommand:
         for name in ("records.csv", "summary.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    def test_pooled_run_of_python_m_heritcc_matches_the_in_process_run(self, capsys,
+                                                                        tmp_path):
+        # spawned workers re-import the command's __main__ as __mp_main__
+        args = ["experiment", "--n-loci", "1000", "--target-cases", "40",
+                "--replications", "4", "--seed", "7"]
+        env = dict(os.environ, PYTHONPATH=str(Path(heritcc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "heritcc", *args, "--threads", "2",
+             "--out-dir", str(tmp_path / "pooled")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        code, _, _ = _run(capsys, *args, "--threads", "1", "--out-dir", str(tmp_path / "one"))
+        assert code == 0
+        for name in ("records.csv", "summary.csv"):
+            assert (tmp_path / "pooled" / name).read_bytes() == \
+                (tmp_path / "one" / name).read_bytes()
+
+    def test_failed_replications_are_warned_about(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = _run(
+            capsys, "experiment", "--K", "0.5", "--P", "0.5", "--n-loci", "1",
+            "--target-cases", "1", "--replications", "6", "--seed", "5", "--methods",
+            "first", "--threads", "1", "--out-dir", str(out_dir))
+        assert code == 0
+        assert "(n_ok=2)" in out
+        assert err.splitlines() == [
+            "warning: 4 of 6 replications failed; first error: ValueError: all 1 loci "
+            "have zero empirical variance over 2 rows"]
+        errors = [line.split(",")[-1] for line in
+                  (out_dir / "records.csv").read_text().splitlines() if line[0].isdigit()]
+        assert sum(bool(e) for e in errors) == 4
+
     def test_config_file_flags_win(self, capsys, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text(

@@ -8,6 +8,7 @@ import re
 import signal
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -213,6 +214,55 @@ def _live_workers() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
 
 
+def _lost(task, exc):
+    """An ``on_break`` that names the task a broken pool lost."""
+    assert isinstance(exc, BrokenProcessPool)
+    return "lost", task
+
+
+def _exit_once_the_others_finish(task):
+    """Task ``(i, dying, n, folder)`` of ``n``: task ``dying`` waits until
+    every other task has marked ``folder`` and returned, then kills its
+    worker; the others return ``i``."""
+    i, dying, n, folder = task
+    if i != dying:
+        (folder / str(i)).touch()
+        return i
+    deadline = time.monotonic() + 30.0
+    while len(list(folder.iterdir())) < n - 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.5)  # the last marker's result is on its way back
+    os._exit(1)
+
+
+def _raise_or_sleep(seconds):
+    if seconds < 0:
+        raise ValueError("task failed")
+    time.sleep(seconds)
+
+
+# What a broken pool's futures and submissions raise with.
+_DEAD_WORKER = ("A process in the process pool was terminated abruptly while the "
+                "future was running or pending.")
+
+
+def _watch_submissions(monkeypatch, refuse_from: float = math.inf) -> list:
+    """Make every pool's ``submit`` raise ``BrokenProcessPool`` from its
+    ``refuse_from``-th call on (counted from 0); return the list of the
+    futures it gives before that."""
+    submit = ProcessPoolExecutor.submit
+    futures = []
+
+    def watched(self, fn, /, *args):
+        if len(futures) >= refuse_from:
+            raise BrokenProcessPool(_DEAD_WORKER)
+        futures.append(submit(self, fn, *args))
+        return futures[-1]
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", watched)
+    return futures
+
+
 def _set_caller_environment(monkeypatch) -> dict:
     """Give the caller BLAS threads of its own; return its environment."""
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
@@ -228,21 +278,27 @@ class TestPool:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         before = dict(os.environ)
-        seen = experiments._pool_map(os.getenv, self.BLAS_VARS, workers=2)
+        seen = experiments._pool_map(os.getenv, self.BLAS_VARS, workers=2, on_break=_lost)
         assert seen == ["1", "1", "1"]
         assert dict(os.environ) == before
 
-    def test_environment_is_restored_when_a_task_raises(self, monkeypatch):
+    def test_a_task_that_raises_restores_the_environment_and_cancels_the_queue(
+            self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         before = dict(os.environ)
-        with pytest.raises(ValueError):
-            experiments._pool_map(int, ["1", "x"], workers=2)
+        futures = _watch_submissions(monkeypatch)
+        with pytest.raises(ValueError, match="task failed"):
+            experiments._pool_map(_raise_or_sleep, [-1] + [0.2] * 40, workers=2,
+                                  on_break=_lost)
         assert dict(os.environ) == before
+        # only what the two workers and their call queue of three took by
+        # then could not be cancelled
+        assert sum(f.cancelled() for f in futures) >= len(futures) - 10
 
     def test_serial_path_keeps_the_callers_blas_threads(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         assert experiments._pool_map(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2,
-                                     workers=1) == ["2", "2"]
+                                     workers=1, on_break=_lost) == ["2", "2"]
 
     # Where this process runs a multi-threaded BLAS, the two tests below
     # compare its results with those of one-thread workers.
@@ -250,7 +306,7 @@ class TestPool:
         rng = np.random.default_rng(0)
         views = [StandardizedGenotypes(rng.standard_normal((n, 10_000)), None, None)
                  for n in (205, 217)]
-        pooled = experiments._pool_map(grm_compute, views, workers=2)
+        pooled = experiments._pool_map(grm_compute, views, workers=2, on_break=_lost)
         for view, g in zip(views, pooled):
             assert np.array_equal(g.g, grm_compute(view).g)
 
@@ -266,48 +322,81 @@ class TestPool:
     # The pool outlives a call and serves the next one.
     def test_back_to_back_calls_share_workers(self, monkeypatch):
         before = _set_caller_environment(monkeypatch)
-        first = experiments._pool_map(_pid_and_blas_threads, range(8), workers=2)
+        first = experiments._pool_map(_pid_and_blas_threads, range(8), workers=2, on_break=_lost)
         workers = _live_workers()
         assert dict(os.environ) == before
-        second = experiments._pool_map(_pid_and_blas_threads, range(8), workers=2)
+        second = experiments._pool_map(_pid_and_blas_threads, range(8), workers=2, on_break=_lost)
         assert dict(os.environ) == before
         assert len(workers) == 2
         assert {pid for pid, _ in first + second} <= workers
         assert _live_workers() == workers
 
-    def test_dead_worker_breaks_the_call_and_the_next_starts_fresh(self, monkeypatch):
+    def test_dead_workers_tasks_come_back_through_on_break(self, monkeypatch):
         before = _set_caller_environment(monkeypatch)
-        experiments._pool_map(_pid_and_blas_threads, range(2), workers=2)
+        experiments._pool_map(_pid_and_blas_threads, range(2), workers=2, on_break=_lost)
         old = _live_workers()
-        with pytest.raises(BrokenProcessPool):
-            experiments._pool_map(os._exit, [1, 1], workers=2)
+        assert experiments._pool_map(os._exit, [1, 1], workers=2,
+                                     on_break=_lost) == [("lost", 1), ("lost", 1)]
         assert dict(os.environ) == before
-        seen = experiments._pool_map(_pid_and_blas_threads, range(4), workers=2)
+        seen = experiments._pool_map(_pid_and_blas_threads, range(4), workers=2, on_break=_lost)
         assert dict(os.environ) == before
         assert not {pid for pid, _ in seen} & old
         assert all(blas == ["1", "1", "1"] for _, blas in seen)
-        assert experiments._pool_map(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
+        assert experiments._pool_map(abs, [-1, -2, -3], workers=2, on_break=_lost) == [1, 2, 3]
+
+    def test_worker_dead_mid_call_keeps_the_finished_results(self, monkeypatch, tmp_path):
+        before = _set_caller_environment(monkeypatch)
+        tasks = [(i, 3, 6, tmp_path) for i in range(6)]
+        seen = experiments._pool_map(_exit_once_the_others_finish, tasks, workers=2,
+                                     on_break=lambda task, exc: f"{type(exc).__name__}: {exc}")
+        assert seen == [0, 1, 2, f"BrokenProcessPool: {_DEAD_WORKER}", 4, 5]
+        assert dict(os.environ) == before
+        assert experiments._pool_map(abs, [-1, -2, -3], workers=2, on_break=_lost) == [1, 2, 3]
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_submissions_refused_from_the_kth_give_on_breaks_value(self, monkeypatch, k):
+        before = _set_caller_environment(monkeypatch)
+        _watch_submissions(monkeypatch, refuse_from=k)
+        seen = experiments._pool_map(abs, [-1, -2, -3, -4, -5], workers=2, on_break=_lost)
+        assert seen == [1, 2, 3, 4, 5][:k] + [("lost", -t) for t in range(k + 1, 6)]
+        assert dict(os.environ) == before
+
+    def test_replications_a_broken_pool_loses_are_failed_records(self, monkeypatch,
+                                                                 tmp_path):
+        _watch_submissions(monkeypatch, refuse_from=2)
+        result = run_experiment(SMOKE, workers=2)
+        lost = [experiments._failed_record(i, BrokenProcessPool(_DEAD_WORKER))
+                for i in range(2, SMOKE.replications)]
+        assert result.records[2:] == lost
+        assert lost[0].error == f"BrokenProcessPool: {_DEAD_WORKER}"
+        assert [r.error for r in result.records[:2]] == [None, None]
+        assert result.summaries == summarize_records(SMOKE, result.records[:2])
+        path = tmp_path / "records.csv"
+        _write_records(path, SMOKE, result.records)
+        _, loaded = read_records_csv(path)
+        assert loaded[2:] == lost
+        assert summarize_records(SMOKE, loaded) == result.summaries
 
     def test_worker_killed_while_idle_is_replaced_by_the_next_call(self, monkeypatch):
         before = _set_caller_environment(monkeypatch)
-        experiments._pool_map(_pid_and_blas_threads, range(2), workers=2)
+        experiments._pool_map(_pid_and_blas_threads, range(2), workers=2, on_break=_lost)
         old = _live_workers()
         os.kill(min(old), signal.SIGKILL)
         deadline = time.monotonic() + 30.0
         while not experiments._pool._broken:
             assert time.monotonic() < deadline, "pool never noticed the dead worker"
             time.sleep(0.01)
-        seen = experiments._pool_map(_pid_and_blas_threads, range(4), workers=2)
+        seen = experiments._pool_map(_pid_and_blas_threads, range(4), workers=2, on_break=_lost)
         assert dict(os.environ) == before
         assert not {pid for pid, _ in seen} & old
         assert all(blas == ["1", "1", "1"] for _, blas in seen)
-        assert experiments._pool_map(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
+        assert experiments._pool_map(abs, [-1, -2, -3], workers=2, on_break=_lost) == [1, 2, 3]
 
     def test_new_worker_count_replaces_the_pool_with_pinned_workers(self, monkeypatch):
         before = _set_caller_environment(monkeypatch)
-        experiments._pool_map(_pid_and_blas_threads, range(2), workers=2)
+        experiments._pool_map(_pid_and_blas_threads, range(2), workers=2, on_break=_lost)
         old = _live_workers()
-        seen = experiments._pool_map(_pid_and_blas_threads, range(6), workers=3)
+        seen = experiments._pool_map(_pid_and_blas_threads, range(6), workers=3, on_break=_lost)
         assert dict(os.environ) == before
         assert all(blas == ["1", "1", "1"] for _, blas in seen)
         assert not _live_workers() & old
